@@ -38,6 +38,17 @@ _STATS = {
 }
 
 
+def _size(text: str) -> int:
+    """argparse type of --n, --max-n and --max-m: a nonnegative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"size must be nonnegative, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -56,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--class", dest="cls", required=True,
                         help="comma-separated patterns (e.g. 123,132,213) or "
                              "a West class name W1/W2/W3")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=_size, required=True)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
 
     p_dist = sub.add_parser("distribution",
@@ -69,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "by commas (e.g. '13/2,123')")
     p_dist.add_argument("--stat", default="inv",
                         help="inv, maj, des, cycles (perms) or rb (partitions)")
-    p_dist.add_argument("--n", type=int, required=True)
+    p_dist.add_argument("--n", type=_size, required=True)
     p_dist.add_argument("--format", choices=("text", "json"), default="text")
 
     p_qfib = sub.add_parser("qfib", help="a q-Fibonacci family polynomial")
     p_qfib.add_argument("--family", required=True,
                         help=f"one of {', '.join(qfib.FAMILIES)}")
-    p_qfib.add_argument("--n", type=int, required=True)
+    p_qfib.add_argument("--n", type=_size, required=True)
     p_qfib.add_argument("--method",
                         choices=("oracle", "recursion", "closed-form"),
                         default="oracle")
@@ -89,13 +100,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the whole catalog")
     group.add_argument("--list", action="store_true",
                        help="print the identity catalog")
-    p_ver.add_argument("--max-n", type=int, default=None)
-    p_ver.add_argument("--max-m", type=int, default=None)
+    p_ver.add_argument("--max-n", type=_size, default=None)
+    p_ver.add_argument("--max-m", type=_size, default=None)
 
     p_tab = sub.add_parser("table",
                            help="family polynomials for n = 0..max-n")
     p_tab.add_argument("--family", required=True)
-    p_tab.add_argument("--max-n", type=int, required=True)
+    p_tab.add_argument("--max-n", type=_size, required=True)
     p_tab.add_argument("--method",
                        choices=("oracle", "recursion", "closed-form"),
                        default="oracle")
@@ -119,7 +130,7 @@ def _poly_payload(p: MultiPoly, fmt: str, **meta) -> str:
         return json.dumps({**meta, "text": p.canonical_text(),
                            "terms": p.to_json_terms()})
     if fmt == "latex":
-        return p.latex_text()
+        return p.canonical_text(latex=True)
     return p.canonical_text()
 
 
@@ -204,6 +215,8 @@ def _cmd_table(args) -> int:
     if args.family not in qfib.FAMILIES:
         raise ValueError(f"unknown family {args.family!r}; choose from "
                          f"{', '.join(qfib.FAMILIES)}")
+    if args.method == "oracle":
+        qfib.check_oracle_bound(args.family, args.max_n)
     rows = []
     for n in range(args.max_n + 1):
         poly = _family_poly(args.family, n, args.method)
@@ -219,7 +232,7 @@ def _cmd_table(args) -> int:
         print(r"\begin{tabular}{rl}")
         print(rf"$n$ & $F_n^{{{args.family}}}$ \\ \hline")
         for n, poly in rows:
-            print(rf"{n} & ${poly.latex_text()}$ \\")
+            print(rf"{n} & ${poly.canonical_text(latex=True)}$ \\")
         print(r"\end{tabular}")
     else:
         for n, poly in rows:

@@ -45,6 +45,11 @@ class BoundExceeded(ValueError):
     """An enumeration was requested beyond its configured safety bound."""
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got n = {n}")
+
+
 def check_perm(seq: Iterable[int]) -> Perm:
     """Validate and return a permutation of 1..n as a tuple."""
     p = tuple(seq)
@@ -145,6 +150,7 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
     Sizes beyond the bound are refused: use the structural generators
     (perm_from_word / west_class) for the classes that have them.
     """
+    _check_size(n)
     if n > bound:
         raise BoundExceeded(
             f"filter enumeration bound is {bound}, got n = {n}; "
@@ -173,6 +179,7 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
 def enumerate_avoiders_scan(n: int, patterns: Iterable[Sequence[int]],
                             bound: int = FILTER_BOUND) -> list[Perm]:
     """Plain n!-scan filter; slower cross-check for enumerate_avoiders."""
+    _check_size(n)
     if n > bound:
         raise BoundExceeded(f"filter enumeration bound is {bound}, got n = {n}")
     pats = [tuple(p) for p in patterns]
@@ -348,9 +355,11 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
 
 def west_class(n: int, wclass: str, bound: int = WEST_BOUND) -> list[Perm]:
     """Members of the West class at size n, grown by gap insertion from
-    the size-1 permutation; size 0 is the empty permutation."""
+    the size-1 permutation; size 0 is the empty permutation.  The list is
+    the caller's own copy."""
     if wclass not in WEST_PATTERNS:
         raise ValueError(f"unknown West class {wclass!r}")
+    _check_size(n)
     if n > bound:
         raise BoundExceeded(f"West class bound is {bound}, got n = {n}")
     levels = _west_cache.setdefault(wclass, [[()], [(1,)]])
@@ -359,4 +368,4 @@ def west_class(n: int, wclass: str, bound: int = WEST_BOUND) -> list[Perm]:
         for sigma in levels[-1]:
             nxt.extend(west_children(sigma, wclass))
         levels.append(sorted(set(nxt)))
-    return levels[n]
+    return list(levels[n])

@@ -18,7 +18,6 @@ immutable: every operation returns a new polynomial.
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -98,8 +97,7 @@ class MultiPoly:
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order (the order used by canonical_text)."""
-        return iter(sorted(self._terms.items(),
-                           key=functools.cmp_to_key(_term_cmp)))
+        return iter(sorted(self._terms.items(), key=_term_key))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -201,7 +199,7 @@ class MultiPoly:
                 ((k, c),) = poly._terms.items()
                 targets[key] = (c, k)
 
-        out = MultiPoly.zero()
+        out: dict[Monomial, int] = {}
         for (a, b, e, z), coeff in self._terms.items():
             factors = [(coeff, (0, 0, 0, ()))]
             factors.append(_raise(targets.get("x", (1, (1, 0, 0, ()))), a, "x"))
@@ -218,8 +216,8 @@ class MultiPoly:
             if k[0] < 0 or k[1] < 0 or any(ze < 0 for _, ze in k[3]):
                 raise ValueError("substitution produced a negative exponent in "
                                  "x, y or z (only q is Laurent)")
-            out = out + MultiPoly({k: c})
-        return out
+            out[k] = out.get(k, 0) + c
+        return MultiPoly(out)
 
     def evaluate(self, x: int | Fraction = 1, y: int | Fraction = 1,
                  q: int | Fraction = 1,
@@ -250,29 +248,17 @@ class MultiPoly:
 
     # -- rendering and parsing ------------------------------------------
 
-    def canonical_text(self) -> str:
+    def canonical_text(self, latex: bool = False) -> str:
         """Deterministic rendering: terms sorted by qexp descending, then
         xexp, yexp and z exponents descending; unit exponents and unit
-        coefficients elided; negative q exponents written q^-k.
+        coefficients elided; negative q exponents written q^-k.  With
+        latex, exponents are braced and products are spaces.
         """
         if not self._terms:
             return "0"
         out = []
         for idx, (key, coeff) in enumerate(self.terms()):
-            body = _term_text(coeff, key)
-            if idx == 0:
-                out.append(body if coeff > 0 else "-" + body)
-            else:
-                out.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(out)
-
-    def latex_text(self) -> str:
-        """canonical_text with braced exponents and LaTeX-style products."""
-        if not self._terms:
-            return "0"
-        out = []
-        for idx, (key, coeff) in enumerate(self.terms()):
-            body = _term_text(coeff, key, latex=True)
+            body = _term_text(coeff, key, latex)
             if idx == 0:
                 out.append(body if coeff > 0 else "-" + body)
             else:
@@ -292,11 +278,9 @@ class MultiPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        out = cls.zero()
-        for t in data:
-            out = out + cls.term(int(t["coeff"]), x=t["x"], y=t["y"], q=t["q"],
-                                 z=tuple((int(i), int(e)) for i, e in t.get("z", ())))
-        return out
+        return _sum(cls.term(int(t["coeff"]), x=t["x"], y=t["y"], q=t["q"],
+                             z=tuple((int(i), int(e)) for i, e in t.get("z", ())))
+                    for t in data)
 
     @classmethod
     def parse(cls, text: str) -> "MultiPoly":
@@ -305,7 +289,7 @@ class MultiPoly:
         if s in ("", "0"):
             return cls.zero()
         s = s.replace(" - ", " + -").replace("\t", " ")
-        out = cls.zero()
+        terms = []
         for chunk in s.split(" + "):
             chunk = chunk.strip()
             if not chunk:
@@ -335,8 +319,17 @@ class MultiPoly:
                     q += exp
                 else:
                     z.append((int(name[1:]), exp))
-            out = out + cls.term(coeff, x=x, y=y, q=q, z=tuple(z))
-        return out
+            terms.append(cls.term(coeff, x=x, y=y, q=q, z=tuple(z)))
+        return _sum(terms)
+
+
+def _sum(polys: Iterable[MultiPoly]) -> MultiPoly:
+    """The sum of the polynomials, accumulated in one dict."""
+    out: dict[Monomial, int] = {}
+    for p in polys:
+        for k, c in p._terms.items():
+            out[k] = out.get(k, 0) + c
+    return MultiPoly(out)
 
 
 def _as_poly(v: object) -> MultiPoly | None:
@@ -365,29 +358,17 @@ def _raise(target: tuple[int, Monomial], exp: int, name: str) -> tuple[int, Mono
     return (cc, key)
 
 
-def _dense_z(z: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    if not z:
-        return ()
-    top = z[-1][0]
-    vec = [0] * top
-    for i, e in z:
-        vec[i - 1] = e
-    return tuple(vec)
+#: Sorts after every (index, -exponent) pair of a z key.
+_Z_END = (float("inf"),)
 
 
-def _term_cmp(ta: tuple[Monomial, int], tb: tuple[Monomial, int]) -> int:
-    (ax, ay, aq, az), (bx, by, bq, bz) = ta[0], tb[0]
-    for u, v in ((aq, bq), (ax, bx), (ay, by)):
-        if u != v:
-            return -1 if u > v else 1
-    da, db = _dense_z(az), _dense_z(bz)
-    n = max(len(da), len(db))
-    for i in range(n):
-        u = da[i] if i < len(da) else 0
-        v = db[i] if i < len(db) else 0
-        if u != v:
-            return -1 if u > v else 1
-    return 0
+def _term_key(term: tuple[Monomial, int]) -> tuple:
+    """Canonical order: q, x, y exponents descending, then the z exponents
+    as a dense vector z1, z2, ... compared descending.  At the first index
+    where two sparse z keys differ, the term with the larger exponent there
+    (a missing index is exponent 0) comes first."""
+    (a, b, e, z), _ = term
+    return (-e, -a, -b, tuple((i, -f) for i, f in z) + (_Z_END,))
 
 
 def _term_text(coeff: int, key: Monomial, latex: bool = False) -> str:
@@ -426,32 +407,3 @@ def z_var(i: int) -> MultiPoly:
 def q_pow(e: int) -> MultiPoly:
     """q^e as a polynomial (e may be negative)."""
     return MultiPoly.term(1, q=e)
-
-
-# Spec-facing operation aliases.
-
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    return a * b
-
-
-def substitute(p: MultiPoly, mapping: Mapping[str, MultiPoly | int]) -> MultiPoly:
-    return p.substitute(mapping)
-
-
-def evaluate(p: MultiPoly, x: int | Fraction = 1, y: int | Fraction = 1,
-             q: int | Fraction = 1,
-             z: Mapping[int, int | Fraction] | int | Fraction | None = None,
-             ) -> Fraction:
-    return p.evaluate(x=x, y=y, q=q, z=z)
-
-
-def canonical_text(p: MultiPoly) -> str:
-    return p.canonical_text()
-
-
-def parse_poly(text: str) -> MultiPoly:
-    return MultiPoly.parse(text)

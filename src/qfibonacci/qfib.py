@@ -12,11 +12,13 @@ Families (polynomial index n = size of the underlying objects):
   W1-W3   inv over West's doubly restricted classes (F_{2n-2} members at
           size n; the polynomial for size n is indexed here by n itself)
 
-The oracles enumerate the defining combinatorial class and compute each
-statistic directly on the object; recursions and identities are hypotheses
-checked against them.  Several printed statements carry typos, so the
-verifier evaluates cataloged variant readings per instance and reports
-which reading, if any, agrees with the oracle.
+Each family is declared once, in the FAMILY table: its class, statistic,
+oracle bound and printed recursion.  The oracles enumerate the defining
+combinatorial class and compute each statistic directly on the object;
+recursions and identities are hypotheses checked against them.  Several
+printed statements carry typos, so the verifier evaluates cataloged variant
+readings per instance and reports which reading, if any, agrees with the
+oracle.
 """
 
 from __future__ import annotations
@@ -24,19 +26,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import blockwords, partitions, permstats
 from .permstats import BoundExceeded
 from .polyring import MultiPoly, q_pow
 
-FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'", "W1", "W2", "W3")
-
-#: Oracle size caps.  Word-structured classes stay cheap far past the
-#: identity ranges (the T4.5 suite touches index 25); the West classes are
-#: generated by filtered gap insertion, output-linear but denser.
+#: Oracle size cap of the word-structured classes, which stay cheap far past
+#: the identity ranges (the T4.5 suite touches index 25).  The West classes
+#: take permstats.WEST_BOUND: gap insertion is output-linear but denser.
 STRUCTURAL_BOUND = 26
-WEST_ORACLE_BOUND = 12
 
 
 def fibonacci(n: int) -> int:
@@ -56,161 +55,257 @@ def _c2(k: int) -> int:
     return comb(k, 2)
 
 
-# -- oracles -------------------------------------------------------------------
-
-_oracle_cache: dict[tuple[str, int], MultiPoly] = {}
-
-
-def qfib_oracle(family: str, n: int) -> MultiPoly:
-    """The exact distribution polynomial of the family's statistic over
-    its defining class, by direct enumeration."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    bound = WEST_ORACLE_BOUND if family.startswith("W") else STRUCTURAL_BOUND
-    if n < 0:
-        raise ValueError("family index must be nonnegative")
-    if n > bound:
-        raise BoundExceeded(f"oracle bound for family {family} is {bound}, "
-                            f"got n = {n}")
-    key = (family, n)
-    if key not in _oracle_cache:
-        _oracle_cache[key] = _oracle_compute(family, n)
-    return _oracle_cache[key]
-
-
-def _oracle_compute(family: str, n: int) -> MultiPoly:
-    acc: dict[tuple, int] = {}
-
-    def bump(x: int, y: int, q: int, z: tuple = ()) -> None:
-        k = (x, y, q, z)
-        acc[k] = acc.get(k, 0) + 1
-
-    if family in ("I", "M", "D", "D'"):
-        for w in blockwords.iter_words(n):
-            s, d = w.count("S"), w.count("D")
-            p = permstats.perm_from_word(w, "reverse-layered")
-            if family == "I":
-                bump(s, d, permstats.inv(p))
-            elif family == "M":
-                bump(s, d, permstats.maj(p))
-            else:
-                dec = permstats.cycle_decomposition(p)
-                if family == "D":
-                    bump(s, d, dec.cycle_count)
-                else:
-                    z = tuple(sorted(dec.length_counts().items()))
-                    bump(s, d, 0, z)
-    elif family in ("I'", "M'"):
-        stat = permstats.inv if family == "I'" else permstats.maj
-        for w in blockwords.iter_words(n):
-            p = permstats.perm_from_word(w, "layered")
-            bump(w.count("S"), w.count("D"), stat(p))
-    elif family == "RB":
-        for alpha in partitions.enumerate_layered_matchings(n):
-            s, d = partitions.singleton_doubleton_counts(alpha)
-            bump(s, d, partitions.rb(alpha))
-    elif family == "C":
-        for w in blockwords.iter_words(n):
-            bump(w.count("S"), w.count("D"), blockwords.morse_weight(w))
-    else:
-        for p in permstats.west_class(n, family):
-            bump(0, 0, permstats.inv(p))
-    return MultiPoly(acc)
-
-
-# -- printed recursions ----------------------------------------------------------
-
-_rec_cache: dict[tuple[str, int], MultiPoly] = {}
-
-RECURSIVE_FAMILIES = ("I", "I'", "M", "M'", "C", "D", "D'", "W1", "W2", "W3")
-
-
 def lemma23_transform(p: MultiPoly, n: int) -> MultiPoly:
     """q^C(n,2) * p(x, y, 1/q): carries the inv (or maj) distribution of one
     orientation onto the other."""
     return q_pow(_c2(n)) * p.substitute({"q": q_pow(-1)})
 
 
-def qfib_recursive(family: str, n: int) -> MultiPoly:
-    """The polynomial computed from the cataloged printed recursion (I, M, C,
-    D, D', W1-W3), or via the reversal transform for I' and M'.  The D and
-    West recursions are reproduced as printed, typos included; see the
-    identity verifier for their oracle adjudication.
+# -- printed recursions -------------------------------------------------------
+#
+# A recursion is the printed right-hand side rhs(n, get) at size n, where
+# get(family, m) is the family polynomial at size m (zero for m < 0).
+# qfib_recursive feeds it its own values; the identity catalog feeds it
+# oracle values.  Variant readings of a statement are parameters of its one
+# function.  The D and West recursions are reproduced as printed, typos
+# included; see the identity verifier for their oracle adjudication.
+
+Get = Callable[[str, int], MultiPoly]
+Rhs = Callable[[int, Get], MultiPoly]
+
+
+def _rec_I(n: int, get: Get) -> MultiPoly:
+    return (_t(1, x=1, q=n - 1) * get("I", n - 1)
+            + _t(1, y=1, q=2 * (n - 2)) * get("I", n - 2))
+
+
+def _rec_M(n: int, get: Get) -> MultiPoly:
+    return (_t(1, x=1, q=n - 1) * get("M", n - 1)
+            + _t(1, y=1, q=n - 2) * get("M", n - 2))
+
+
+def _rec_C(n: int, get: Get) -> MultiPoly:
+    return _t(1, x=1) * get("C", n - 1) + _t(1, y=1, q=n - 1) * get("C", n - 2)
+
+
+def _reversal_of(family: str):
+    """I' and M' from I and M through the reversal transform."""
+    def rhs(n: int, get: Get) -> MultiPoly:
+        return lemma23_transform(get(family, n), n)
+    return rhs
+
+
+def _rec_D(family: str, dd_exp: int = 2, shift: int = 0):
+    """The interleaved-prefix recursion at size n = m + 2, for D (every
+    cycle marked by q) and D' (a cycle of length i marked by z_i).  dd_exp
+    is the marker exponent of the dd prefix; shift moves the sum's
+    subscript to m - 2k + shift."""
+    def mark(length: int, count: int) -> dict:
+        return {"q": count} if family == "D" else {"z": ((length, count),)}
+
+    def rhs(n: int, get: Get) -> MultiPoly:
+        m = n - 2
+        out = _t(1, x=2, **mark(2, 1)) * get(family, m)
+        out = out + ((_t(1, y=2, **mark(2, dd_exp))
+                      + _t(2, x=2, y=1, **mark(4, 1))) * get(family, m - 2))
+        for k in range(3, m // 2 + 1):
+            out = out + (_t(2, x=2, y=k - 1, **mark(2 * k, 1))
+                         * get(family, m - 2 * k + shift))
+        return out
+    return rhs
+
+
+def _rec_W1(sign: int = 1):
+    """Gap insertion for S_n(123,2143) at size n = m + 1; sign is that of
+    the C(k,2) term of the exponent."""
+    def rhs(n: int, get: Get) -> MultiPoly:
+        m = n - 1
+        out = q_pow(m - 1) * get("W1", m)
+        for k in range(2, m + 1):
+            out = out + (q_pow((m - 1) * (k - 1) + sign * _c2(k))
+                         * get("W1", m - k + 1))
+        return out
+    return rhs
+
+
+def _rec_W2(lo: int = 1, hi_off: int = -1, tail_off: int = 1):
+    """Gap insertion for S_n(132,3241): the sum runs over lo <= k <
+    n + hi_off with a tail of size n - k - tail_off."""
+    def rhs(n: int, get: Get) -> MultiPoly:
+        out = (q_pow(n - 1) + 1) * get("W2", n - 1)
+        for k in range(lo, n + hi_off):
+            out = out + q_pow(k * (n - k)) * get("W2", n - k - tail_off)
+        return out
+    return rhs
+
+
+def _rec_W3(first_family: str = "W2", lo: int = 1, hi_off: int = -1):
+    """Gap insertion for S_n(132,3412): the first term reads first_family
+    and the sum runs over lo <= k < n + hi_off."""
+    def rhs(n: int, get: Get) -> MultiPoly:
+        out = (q_pow(n - 1) + 1) * get(first_family, n - 1)
+        for k in range(lo, n + hi_off):
+            out = out + q_pow(k * (n - k) + _c2(n - k)) * get("W3", k - 1)
+        return out
+    return rhs
+
+
+# -- the family table ---------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """One q-Fibonacci family.
+
+    objects(n) yields (x exponent, y exponent, object) for every member of
+    the defining class at size n; weight(object) is its (q exponent, z
+    exponents).  recursion is the printed right-hand side (None when there
+    is none) and bases holds the values at the sizes it does not cover.
+    Class generators and statistics are looked up on their modules at call
+    time, so wrappers installed after import see every call.
     """
-    if family not in RECURSIVE_FAMILIES:
+
+    objects: Callable[[int], Iterator[tuple[int, int, object]]]
+    weight: Callable[[object], tuple[int, tuple]]
+    recursion: Rhs | None
+    bases: Mapping[int, MultiPoly]
+    bound: int = STRUCTURAL_BOUND
+
+    def printed(self, n: int, get: Get, rhs: Rhs | None = None) -> MultiPoly:
+        """The printed value at size n: a base, else rhs (by default the
+        family's recursion) fed by get."""
+        if n in self.bases:
+            return self.bases[n]
+        return (rhs or self.recursion)(n, get)
+
+
+def _words(orientation: str | None):
+    """Block words of size n, as their (reverse) layered matching, or as
+    words when orientation is None."""
+    def objects(n: int):
+        for w in blockwords.iter_words(n):
+            yield w.count("S"), w.count("D"), (
+                w if orientation is None
+                else permstats.perm_from_word(w, orientation))
+    return objects
+
+
+def _layered_matchings(n: int):
+    for alpha in partitions.enumerate_layered_matchings(n):
+        yield (*partitions.singleton_doubleton_counts(alpha), alpha)
+
+
+def _west(wclass: str):
+    def objects(n: int):
+        for p in permstats.west_class(n, wclass):
+            yield 0, 0, p
+    return objects
+
+
+def _inv(p):
+    return permstats.inv(p), ()
+
+
+def _maj(p):
+    return permstats.maj(p), ()
+
+
+def _cycles(p):
+    return permstats.cycle_decomposition(p).cycle_count, ()
+
+
+def _cycle_type(p):
+    counts = permstats.cycle_decomposition(p).length_counts()
+    return 0, tuple(sorted(counts.items()))
+
+
+def _morse(w):
+    return blockwords.morse_weight(w), ()
+
+
+def _rb(alpha):
+    return partitions.rb(alpha), ()
+
+
+_ONE, _X = MultiPoly.one(), _t(1, x=1)
+
+# D, D' have no printed bases and W1 is printed for even indices from F_2
+# on; their bases are the class values (the size-2 members of W1 are 12 and
+# 21).
+FAMILY: dict[str, Family] = {
+    "I": Family(_words("reverse-layered"), _inv, _rec_I, {0: _ONE, 1: _X}),
+    "I'": Family(_words("layered"), _inv, _reversal_of("I"), {}),
+    "M": Family(_words("reverse-layered"), _maj, _rec_M, {0: _ONE, 1: _X}),
+    "M'": Family(_words("layered"), _maj, _reversal_of("M"), {}),
+    "RB": Family(_layered_matchings, _rb, None, {}),
+    "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X}),
+    "D": Family(_words("reverse-layered"), _cycles, _rec_D("D"),
+                {0: _ONE, 1: _t(1, x=1, q=1)}),
+    "D'": Family(_words("reverse-layered"), _cycle_type, _rec_D("D'"),
+                 {0: _ONE, 1: _t(1, x=1, z=((1, 1),))}),
+    "W1": Family(_west("W1"), _inv, _rec_W1(),
+                 {0: _ONE, 1: _ONE, 2: _ONE + q_pow(1)}, permstats.WEST_BOUND),
+    "W2": Family(_west("W2"), _inv, _rec_W2(), {0: _ONE, 1: _ONE},
+                 permstats.WEST_BOUND),
+    "W3": Family(_west("W3"), _inv, _rec_W3(), {0: _ONE, 1: _ONE},
+                 permstats.WEST_BOUND),
+}
+
+FAMILIES = tuple(FAMILY)
+RECURSIVE_FAMILIES = tuple(f for f, fam in FAMILY.items() if fam.recursion)
+
+
+# -- oracles ------------------------------------------------------------------
+
+_oracle_cache: dict[tuple[str, int], MultiPoly] = {}
+
+
+def check_oracle_bound(family: str, n: int) -> None:
+    """Raise unless the family is known and 0 <= n <= its oracle bound."""
+    if family not in FAMILY:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if n < 0:
+        raise ValueError("family index must be nonnegative")
+    bound = FAMILY[family].bound
+    if n > bound:
+        raise BoundExceeded(f"oracle bound for family {family} is {bound}, "
+                            f"got n = {n}")
+
+
+def qfib_oracle(family: str, n: int) -> MultiPoly:
+    """The exact distribution polynomial of the family's statistic over
+    its defining class, by direct enumeration."""
+    check_oracle_bound(family, n)
+    key = (family, n)
+    if key not in _oracle_cache:
+        fam = FAMILY[family]
+        acc: dict[tuple, int] = {}
+        for x, y, obj in fam.objects(n):
+            q, z = fam.weight(obj)
+            k = (x, y, q, z)
+            acc[k] = acc.get(k, 0) + 1
+        _oracle_cache[key] = MultiPoly(acc)
+    return _oracle_cache[key]
+
+
+# -- recursive values ---------------------------------------------------------
+
+_rec_cache: dict[tuple[str, int], MultiPoly] = {}
+
+
+def qfib_recursive(family: str, n: int) -> MultiPoly:
+    """The polynomial computed from the family's printed recursion (zero for
+    n < 0).  Sizes 0..n are filled bottom-up, so every value the recursion
+    reads is already cached and the call depth does not grow with n."""
+    fam = FAMILY.get(family)
+    if fam is None or fam.recursion is None:
         raise ValueError(f"family {family!r} has no printed recursion")
     if n < 0:
         return MultiPoly.zero()
-    key = (family, n)
-    if key not in _rec_cache:
-        _rec_cache[key] = _rec_compute(family, n)
-    return _rec_cache[key]
-
-
-def _rec_compute(family: str, n: int) -> MultiPoly:
-    R = qfib_recursive
-    if family in ("I'", "M'"):
-        return lemma23_transform(R(family[0], n), n)
-    if family in ("I", "M", "C"):
-        if n == 0:
-            return MultiPoly.one()
-        if n == 1:
-            return _t(1, x=1)
-        if family == "I":
-            return (_t(1, x=1, q=n - 1) * R("I", n - 1)
-                    + _t(1, y=1, q=2 * (n - 2)) * R("I", n - 2))
-        if family == "M":
-            return (_t(1, x=1, q=n - 1) * R("M", n - 1)
-                    + _t(1, y=1, q=n - 2) * R("M", n - 2))
-        return _t(1, x=1) * R("C", n - 1) + _t(1, y=1, q=n - 1) * R("C", n - 2)
-    if family == "D":
-        # No printed bases; the class gives F_0 = 1, F_1 = x q.
-        if n == 0:
-            return MultiPoly.one()
-        if n == 1:
-            return _t(1, x=1, q=1)
-        m = n - 2
-        out = _t(1, x=2, q=1) * R("D", m)
-        out = out + (_t(1, y=2, q=2) + _t(2, x=2, y=1, q=1)) * R("D", m - 2)
-        for k in range(3, m // 2 + 1):
-            out = out + _t(2, x=2, y=k - 1, q=1) * R("D", m - 2 * k)
-        return out
-    if family == "D'":
-        if n == 0:
-            return MultiPoly.one()
-        if n == 1:
-            return _t(1, x=1, z=((1, 1),))
-        m = n - 2
-        out = _t(1, x=2, z=((2, 1),)) * R("D'", m)
-        out = out + ((_t(1, y=2, z=((2, 2),)) + _t(2, x=2, y=1, z=((4, 1),)))
-                     * R("D'", m - 2))
-        for k in range(3, m // 2 + 1):
-            out = out + _t(2, x=2, y=k - 1, z=((2 * k, 1),)) * R("D'", m - 2 * k)
-        return out
-    # West recursions, indexed by size; the odd-index printed base is
-    # replaced by the operative size-1 base plus a size-2 oracle base for
-    # W1, whose statement only defines even indices from F_2 upward.
-    if family == "W1":
-        if n <= 1:
-            return MultiPoly.one()
-        if n == 2:
-            return qfib_oracle("W1", 2)
-        m = n - 1
-        out = q_pow(m - 1) * R("W1", n - 1)
-        for k in range(2, m + 1):
-            out = out + q_pow((m - 1) * (k - 1) + _c2(k)) * R("W1", m - k + 1)
-        return out
-    if n <= 1:
-        return MultiPoly.one()
-    if family == "W2":
-        out = (q_pow(n - 1) + 1) * R("W2", n - 1)
-        for k in range(1, n - 1):
-            out = out + q_pow(k * (n - k)) * R("W2", n - k - 1)
-        return out
-    out = (q_pow(n - 1) + 1) * R("W2", n - 1)
-    for k in range(1, n - 1):
-        out = out + q_pow(k * (n - k) + _c2(n - k)) * R("W3", k - 1)
-    return out
+    if (family, n) not in _rec_cache:
+        for m in range(n + 1):
+            if (family, m) not in _rec_cache:
+                _rec_cache[family, m] = fam.printed(m, qfib_recursive)
+    return _rec_cache[family, n]
 
 
 def closed_form_I(n: int) -> MultiPoly:
@@ -221,7 +316,7 @@ def closed_form_I(n: int) -> MultiPoly:
     return out
 
 
-# -- identity catalog -------------------------------------------------------------
+# -- identity catalog ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -266,38 +361,22 @@ class IdentityReport:
         return json.dumps(self.to_json(), indent=indent, sort_keys=False)
 
 
-def _oi(n: int) -> MultiPoly:
-    return MultiPoly.zero() if n < 0 else qfib_oracle("I", n)
+def _oracle_at(family: str, m: int) -> MultiPoly:
+    """The oracle as a recursion's get: zero below size 0."""
+    return MultiPoly.zero() if m < 0 else qfib_oracle(family, m)
 
 
-def _od(n: int) -> MultiPoly:
-    return MultiPoly.zero() if n < 0 else qfib_oracle("D", n)
+def _printed(family: str, rhs: Rhs | None = None, offset: int = 0):
+    """A printed recursion against the oracle: instance n compares the
+    family at size n + offset with the printed value there, the right-hand
+    side (the family's recursion unless a variant reading is given) fed by
+    oracle values."""
+    fam = FAMILY[family]
 
-
-def _odp(n: int) -> MultiPoly:
-    return MultiPoly.zero() if n < 0 else qfib_oracle("D'", n)
-
-
-def _t21(n: int):
-    lhs = qfib_oracle("I", n)
-    if n == 0:
-        return lhs, MultiPoly.one()
-    if n == 1:
-        return lhs, _t(1, x=1)
-    rhs = (_t(1, x=1, q=n - 1) * _oi(n - 1)
-           + _t(1, y=1, q=2 * (n - 2)) * _oi(n - 2))
-    return lhs, rhs
-
-
-def _t22(n: int):
-    lhs = qfib_oracle("M", n)
-    if n == 0:
-        return lhs, MultiPoly.one()
-    if n == 1:
-        return lhs, _t(1, x=1)
-    om = lambda m: qfib_oracle("M", m)
-    rhs = _t(1, x=1, q=n - 1) * om(n - 1) + _t(1, y=1, q=n - 2) * om(n - 2)
-    return lhs, rhs
+    def build(n: int):
+        size = n + offset
+        return _oracle_at(family, size), fam.printed(size, _oracle_at, rhs)
+    return build
 
 
 def _l23(n: int):
@@ -318,12 +397,13 @@ def _t33(n: int):
 
 def _t41(m: int, n: int):
     lhs = qfib_oracle("I", m + n)
-    first = (_oi(m).substitute({"x": _t(1, x=1, q=n), "y": _t(1, y=1, q=2 * n)})
-             * _oi(n))
+    first = (_oracle_at("I", m).substitute({"x": _t(1, x=1, q=n),
+                                            "y": _t(1, y=1, q=2 * n)})
+             * _oracle_at("I", n))
     second = (_t(1, y=1, q=2 * (n - 1))
-              * _oi(m - 1).substitute({"x": _t(1, x=1, q=n + 1),
-                                       "y": _t(1, y=1, q=2 * (n + 1))})
-              * _oi(n - 1))
+              * _oracle_at("I", m - 1).substitute(
+                  {"x": _t(1, x=1, q=n + 1), "y": _t(1, y=1, q=2 * (n + 1))})
+              * _oracle_at("I", n - 1))
     return lhs, first + second
 
 
@@ -355,7 +435,7 @@ def _t44(n: int):
     rhs = _t(1, x=n + 2, q=_c2(n + 2))
     for j in range(n + 1):
         rhs = rhs + (_t(1, x=n - j, y=1, q=(n * n + 3 * n - j * j + j) // 2)
-                     * _oi(j))
+                     * _oracle_at("I", j))
     return lhs, rhs
 
 
@@ -364,7 +444,7 @@ def _t45(n: int):
     rhs = MultiPoly.zero()
     for j in range(n + 1):
         rhs = rhs + (_t(1, x=1, y=j, q=4 * n * j - 2 * j * j + 2 * n - 2 * j)
-                     * _oi(2 * n - 2 * j))
+                     * _oracle_at("I", 2 * n - 2 * j))
     return lhs, rhs
 
 
@@ -375,7 +455,7 @@ def _t46(first_term_exp: Callable[[int], int]):
         for j in range(n):
             rhs = rhs + (_t(1, x=1, y=j,
                             q=4 * n * j - 2 * j * j - 4 * j + 2 * n - 1)
-                         * _oi(2 * n - 2 * j - 1))
+                         * _oracle_at("I", 2 * n - 2 * j - 1))
         return lhs, rhs
     return build
 
@@ -385,77 +465,17 @@ def _t47(n: int):
     rhs = MultiPoly.zero()
     for j in range(n + 1):
         rhs = rhs + (_t(1, x=1, y=n - j, q=(n - j) * (n + j - 1) + j)
-                     * _oi(j) * _oi(j))
+                     * _oracle_at("I", j) * _oracle_at("I", j))
     return lhs, rhs
-
-
-def _t53(dd_exp: int, shift: int):
-    def build(n: int):
-        lhs = qfib_oracle("D", n + 2)
-        rhs = _t(1, x=2, q=1) * _od(n)
-        rhs = rhs + (_t(1, y=2, q=dd_exp) + _t(2, x=2, y=1, q=1)) * _od(n - 2)
-        for k in range(3, n // 2 + 1):
-            rhs = rhs + _t(2, x=2, y=k - 1, q=1) * _od(n - 2 * k + shift)
-        return lhs, rhs
-    return build
-
-
-def _t54(n: int):
-    lhs = qfib_oracle("D'", n + 2)
-    rhs = _t(1, x=2, z=((2, 1),)) * _odp(n)
-    rhs = rhs + ((_t(1, y=2, z=((2, 2),)) + _t(2, x=2, y=1, z=((4, 1),)))
-                 * _odp(n - 2))
-    for k in range(3, n // 2 + 1):
-        rhs = rhs + _t(2, x=2, y=k - 1, z=((2 * k, 1),)) * _odp(n - 2 * k)
-    return lhs, rhs
-
-
-def _gw(family: str, m: int) -> MultiPoly:
-    return MultiPoly.zero() if m < 0 else qfib_oracle(family, m)
-
-
-def _t61(sign: int):
-    def build(n: int):
-        lhs = _gw("W1", n + 1)
-        rhs = q_pow(n - 1) * _gw("W1", n)
-        for k in range(2, n + 1):
-            rhs = rhs + q_pow((n - 1) * (k - 1) + sign * _c2(k)) * _gw("W1", n - k + 1)
-        return lhs, rhs
-    return build
-
-
-def _t62(lo: int, hi_off: int, tail_off: int):
-    def build(n: int):
-        lhs = _gw("W2", n)
-        if n == 1:
-            return lhs, MultiPoly.one()
-        rhs = (q_pow(n - 1) + 1) * _gw("W2", n - 1)
-        for k in range(lo, n + hi_off):
-            rhs = rhs + q_pow(k * (n - k)) * _gw("W2", n - k - tail_off)
-        return lhs, rhs
-    return build
-
-
-def _t63(first_family: str, lo: int, hi_off: int):
-    def build(n: int):
-        lhs = _gw("W3", n)
-        if n == 1:
-            return lhs, MultiPoly.one()
-        rhs = (q_pow(n - 1) + 1) * _gw(first_family, n - 1)
-        for k in range(lo, n + hi_off):
-            exp = k * (n - k) + _c2(n - k)
-            rhs = rhs + q_pow(exp) * _gw("W3", k - 1)
-        return lhs, rhs
-    return build
 
 
 def _build_catalog() -> tuple[IdentityDef, ...]:
     asis = "as-printed"
     return (
         IdentityDef("T2.1", "inversion-family recursion vs oracle", ("n",),
-                    0, 12, (Reading(asis, _t21),)),
+                    0, 12, (Reading(asis, _printed("I")),)),
         IdentityDef("T2.2", "major-index-family recursion vs oracle", ("n",),
-                    0, 12, (Reading(asis, _t22),)),
+                    0, 12, (Reading(asis, _printed("M")),)),
         IdentityDef("L2.3", "reversal transform between the inv families",
                     ("n",), 0, 12, (Reading(asis, _l23),)),
         IdentityDef("L2.4", "block-word transform between the maj families",
@@ -492,20 +512,24 @@ def _build_catalog() -> tuple[IdentityDef, ...]:
                     ("n",), 0, 12, (Reading(asis, _t47),)),
         IdentityDef("T5.3", "cycle-count recursion from interleaved prefixes",
                     ("n",), 0, 10,
-                    (Reading(asis, _t53(2, 0)),
-                     Reading("dd-term-y2q", _t53(1, 0)),
-                     Reading("subscript-n+2-2k", _t53(2, 2)),
-                     Reading("dd-term-y2q,subscript-n+2-2k", _t53(1, 2))),
+                    (Reading(asis, _printed("D", offset=2)),
+                     Reading("dd-term-y2q",
+                             _printed("D", _rec_D("D", dd_exp=1), 2)),
+                     Reading("subscript-n+2-2k",
+                             _printed("D", _rec_D("D", shift=2), 2)),
+                     Reading("dd-term-y2q,subscript-n+2-2k",
+                             _printed("D", _rec_D("D", 1, 2), 2))),
                     notes="Statement vs proof disagree on the dd prefix "
                           "coefficient, and the sum's subscript is off by "
                           "the prefix size; residual-led words (odd cycles) "
                           "are unaccounted for by every reading."),
         IdentityDef("T5.4", "cycle-type recursion from interleaved prefixes",
-                    ("n",), 0, 10, (Reading(asis, _t54),)),
+                    ("n",), 0, 10, (Reading(asis, _printed("D'", offset=2)),)),
         IdentityDef("T6.1", "gap-insertion recursion for S_n(123,2143)",
                     ("n",), 2, 10,
-                    (Reading(asis, _t61(+1)),
-                     Reading("exponent-minus-C(k,2)", _t61(-1))),
+                    (Reading(asis, _printed("W1", offset=1)),
+                     Reading("exponent-minus-C(k,2)",
+                             _printed("W1", _rec_W1(-1), 1))),
                     notes="Indices follow the statement: instance n checks "
                           "F_2n (size n+1) against size-n data.  Both "
                           "exponent readings fail: members can have the new "
@@ -517,17 +541,21 @@ def _build_catalog() -> tuple[IdentityDef, ...]:
                           "match the class."),
         IdentityDef("T6.2", "gap-insertion recursion for S_n(132,3241)",
                     ("n",), 1, 10,
-                    (Reading(asis, _t62(1, -1, 1)),
-                     Reading("proof-bounds-2..n-1", _t62(2, 0, 1)),
-                     Reading("derived-tail-size-n-k", _t62(2, 0, 0))),
+                    (Reading(asis, _printed("W2")),
+                     Reading("proof-bounds-2..n-1",
+                             _printed("W2", _rec_W2(2, 0, 1))),
+                     Reading("derived-tail-size-n-k",
+                             _printed("W2", _rec_W2(2, 0, 0)))),
                     notes="Instance 1 checks the printed base F_0 = 1.  The "
                           "printed subscript F_{2n-2k-4} undercounts the "
                           "interior-gap tail by one element."),
         IdentityDef("T6.3", "gap-insertion recursion for S_n(132,3412)",
                     ("n",), 1, 10,
-                    (Reading(asis, _t63("W2", 1, -1)),
-                     Reading("first-term-W3", _t63("W3", 1, -1)),
-                     Reading("derived-gap-indexed-sum", _t63("W3", 2, 0))),
+                    (Reading(asis, _printed("W3")),
+                     Reading("first-term-W3",
+                             _printed("W3", _rec_W3("W3", 1, -1))),
+                     Reading("derived-gap-indexed-sum",
+                             _printed("W3", _rec_W3("W3", 2, 0)))),
                     notes="Instance 1 checks the printed base F_0 = 1.  The "
                           "printed first term references the W2 family; the "
                           "derived reading indexes the sum by the gap "

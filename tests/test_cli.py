@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qfibonacci.cli import main
 
 
@@ -156,6 +158,14 @@ class TestTableVerb:
         assert code == 0
         assert out.splitlines()[2] == "2\ty*q + x^2"
 
+    def test_oracle_bound_checked_before_any_row(self, capsys):
+        # building the West levels up to 12 first would take minutes
+        code, out, err = run(capsys, "table", "--family", "W1",
+                             "--max-n", "13")
+        assert code == 3
+        assert out == ""
+        assert "bound" in err
+
 
 class TestUsage:
     def test_no_verb(self, capsys):
@@ -166,3 +176,19 @@ class TestUsage:
 
     def test_bad_n(self, capsys):
         assert run(capsys, "qfib", "--family", "I", "--n", "many")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--class", "123,132,213", "--n", "-2"),
+        ("enumerate", "--class", "W1", "--n", "-1"),
+        ("distribution", "--patterns", "123", "--n", "-1"),
+        ("qfib", "--family", "I", "--method", "recursion", "--n", "-1"),
+        ("qfib", "--family", "I", "--method", "oracle", "--n", "-1"),
+        ("table", "--family", "I", "--max-n", "-1"),
+        ("verify", "--identity", "T4.3a", "--max-n", "-3"),
+        ("verify", "--identity", "T4.1", "--max-m", "-1"),
+    ])
+    def test_negative_size_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err

@@ -237,6 +237,19 @@ class TestWest:
         with pytest.raises(ps.BoundExceeded):
             ps.west_class(13, "W1")
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError):
+            ps.west_class(-1, "W1")
+        with pytest.raises(ValueError):
+            ps.enumerate_avoiders(-1, ps.WEST_PATTERNS["W1"])
+
+    def test_result_is_not_the_cache(self):
+        first = ps.west_class(4, "W3")
+        expected = list(first)
+        first.append((9, 9, 9))
+        first[0] = ()
+        assert ps.west_class(4, "W3") == expected
+
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             ps.west_class(3, "W9")

@@ -5,11 +5,11 @@ import pytest
 
 from qfibonacci import qfib
 from qfibonacci.permstats import BoundExceeded
-from qfibonacci.polyring import MultiPoly, parse_poly
+from qfibonacci.polyring import MultiPoly
 
 
 def P(text):
-    return parse_poly(text)
+    return MultiPoly.parse(text)
 
 
 class TestOracle:
@@ -75,6 +75,13 @@ class TestRecursive:
     def test_no_recursion_for_rb(self):
         with pytest.raises(ValueError):
             qfib.qfib_recursive("RB", 3)
+
+    def test_zero_below_size_zero(self):
+        assert qfib.qfib_recursive("W2", -1) == MultiPoly.zero()
+
+    def test_large_index_runs_bottom_up(self):
+        # past the interpreter's recursion limit if evaluated top-down
+        assert qfib.qfib_recursive("I", 1100) == qfib.closed_form_I(1100)
 
 
 class TestClosedForm:
