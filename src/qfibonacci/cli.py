@@ -10,7 +10,7 @@ Verbs:
 
 Exit codes: 0 success (verify: every instance holds under some cataloged
 reading), 1 verification found an instance failing all readings, 2 usage
-error, 3 enumeration bound exceeded.  Data goes to stdout, diagnostics to
+error, 3 bound or memory exceeded.  Data goes to stdout, diagnostics to
 stderr.  There is no configuration beyond the flags.
 """
 
@@ -259,6 +259,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.verb](args)
     except BoundExceeded as exc:
         print(f"qfib: {exc}", file=sys.stderr)
+        return BOUND_EXIT
+    except MemoryError:
+        print("qfib: out of memory; try a smaller size", file=sys.stderr)
         return BOUND_EXIT
     except (ValueError, KeyError) as exc:
         print(f"qfib: error: {exc}", file=sys.stderr)

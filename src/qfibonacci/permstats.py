@@ -30,7 +30,9 @@ Perm = tuple[int, ...]
 #: Largest n accepted by the brute-force filter enumerations (n! scan).
 FILTER_BOUND = 9
 
-#: Largest size generated for the West classes (output-linear generation).
+#: Largest size generated for the West classes.  Size n has F_{2n-2}
+#: members; growing it costs about one max-anchored pattern test per carried
+#: site of each member of size n - 1 (see west_class).
 WEST_BOUND = 12
 
 #: West's three doubly-restricted classes, counted by even-index Fibonacci.
@@ -331,41 +333,109 @@ def perm_from_word(word: str, orientation: str) -> Perm:
 
 # -- West's gap-insertion classes -------------------------------------------
 
-_west_cache: dict[str, list[list[Perm]]] = {}
+#: Per class: the levels grown so far, and for each member of the last level
+#: its sites, a bitmask of the gaps where inserting the next maximum is not
+#: yet ruled out (bit k: in front of position k; bit n: at the end).
+_west_cache: dict[str, tuple[list[list[Perm]], list[int]]] = {}
+
+
+def _west_patterns(wclass: str) -> tuple[Perm, ...]:
+    try:
+        return WEST_PATTERNS[wclass]
+    except KeyError:
+        raise ValueError(f"unknown West class {wclass!r}") from None
+
+
+def _contains_through(sigma: Perm, pi: Sequence[int], k: int) -> bool:
+    """True iff some occurrence of pi in sigma puts pi's largest letter at
+    position k (0-based), where sigma[k] is sigma's largest value:
+    contains_pattern's backtrack with the step for that letter pinned."""
+    m, n = len(pi), len(sigma)
+    top = pi.index(max(pi))
+    chosen: list[int] = []
+
+    def extend(start: int) -> bool:
+        i = len(chosen)
+        if i == m:
+            return True
+        if i == top:
+            # sigma[k] is the largest value: it fits any earlier choice
+            chosen.append(sigma[k])
+            found = extend(k + 1)
+            chosen.pop()
+            return found
+        stop = k - (top - i) if i < top else n - (m - i)
+        for j in range(start, stop + 1):
+            v = sigma[j]
+            if all((pi[t] < pi[i]) == (chosen[t] < v) for t in range(i)):
+                chosen.append(v)
+                if extend(j + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend(0)
+
+
+def _grow(sigma: Perm, sites: int,
+          pats: tuple[Perm, ...]) -> list[tuple[Perm, int]]:
+    """The children of sigma, which avoids pats, inserted at the gaps in
+    sites, each with its own sites.
+
+    The new maximum is the only new letter, so a child contains a pattern
+    only through it.  A child's sites are the images of sigma's legal gaps:
+    an illegal gap stays illegal in every child, because deleting the
+    child's maximum turns an insertion there back into the illegal one."""
+    n = len(sigma) + 1
+    kids = []
+    legal = 0
+    for k in range(n):
+        if sites >> k & 1:
+            cand = sigma[:k] + (n,) + sigma[k:]
+            if not any(_contains_through(cand, pi, k) for pi in pats):
+                kids.append((k, cand))
+                legal |= 1 << k
+    # gaps below k keep their index, gaps from k on move up by one, and
+    # gap k itself becomes both sides of the new maximum
+    return [(cand, legal & ((1 << k) - 1) | (legal >> k) << (k + 1) | 1 << k)
+            for k, cand in kids]
 
 
 def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     """All class members obtained from sigma by inserting the new largest
-    value into one of its gaps.
+    value into one of its gaps, in gap order.
 
-    Legality is decided by directly testing the candidate against the
-    class patterns; the printed gap rules drop legal insertions (see the
-    identity verifier), so the pattern test is the trusted arbiter.
+    Containing a pattern is hereditary: if sigma contains one, so does
+    every child, and the answer is empty.  Otherwise a child can contain a
+    pattern only through the inserted maximum, so each gap is tested for
+    occurrences that use it.  The printed gap rules drop legal insertions
+    (see the identity verifier); the pattern test is the trusted arbiter.
     """
-    pats = WEST_PATTERNS[wclass]
+    pats = _west_patterns(wclass)
     sigma = tuple(sigma)
-    n = len(sigma) + 1
-    out = []
-    for k in range(n):
-        cand = sigma[:k] + (n,) + sigma[k:]
-        if avoids_all(cand, pats):
-            out.append(cand)
-    return out
+    if not avoids_all(sigma, pats):
+        return []
+    every_gap = (1 << len(sigma) + 1) - 1
+    return [child for child, _ in _grow(sigma, every_gap, pats)]
 
 
 def west_class(n: int, wclass: str, bound: int = WEST_BOUND) -> list[Perm]:
-    """Members of the West class at size n, grown by gap insertion from
-    the size-1 permutation; size 0 is the empty permutation.  The list is
-    the caller's own copy."""
-    if wclass not in WEST_PATTERNS:
-        raise ValueError(f"unknown West class {wclass!r}")
+    """Members of the West class at size n in lexicographic order, grown
+    as a generating tree from the size-1 permutation; size 0 is the empty
+    permutation.  The list is the caller's own copy.
+
+    Each member of the last level carries its sites, the images of its
+    parent's legal gaps (see west_children), and its children are tested
+    only there, for occurrences through the new maximum.
+    """
+    pats = _west_patterns(wclass)
     _check_size(n)
     if n > bound:
         raise BoundExceeded(f"West class bound is {bound}, got n = {n}")
-    levels = _west_cache.setdefault(wclass, [[()], [(1,)]])
+    levels, sites = _west_cache.setdefault(wclass, ([[()], [(1,)]], [0b11]))
     while len(levels) <= n:
-        nxt: list[Perm] = []
-        for sigma in levels[-1]:
-            nxt.extend(west_children(sigma, wclass))
-        levels.append(sorted(set(nxt)))
+        grown = sorted(kid for sigma, s in zip(levels[-1], sites)
+                       for kid in _grow(sigma, s, pats))
+        levels.append([child for child, _ in grown])
+        sites[:] = [s for _, s in grown]
     return list(levels[n])

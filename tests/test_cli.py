@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qfibonacci import qfib
 from qfibonacci.cli import main
 
 
@@ -49,6 +50,19 @@ class TestQfibVerb:
                            "--method", "oracle")
         assert code == 3
         assert "bound" in err
+
+    def test_memory_error_exit_3(self, capsys, monkeypatch):
+        # stands in for a recursion too large to hold, e.g. C at n = 3000
+        def exhausted(family, n):
+            raise MemoryError
+
+        monkeypatch.setattr(qfib, "qfib_recursive", exhausted)
+        code, out, err = run(capsys, "qfib", "--family", "C", "--n", "3000",
+                             "--method", "recursion")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qfib: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "qfib", "--family", "Z", "--n", "3")
@@ -159,7 +173,7 @@ class TestTableVerb:
         assert out.splitlines()[2] == "2\ty*q + x^2"
 
     def test_oracle_bound_checked_before_any_row(self, capsys):
-        # building the West levels up to 12 first would take minutes
+        # the bound is checked before any row, so no West level is built
         code, out, err = run(capsys, "table", "--family", "W1",
                              "--max-n", "13")
         assert code == 3

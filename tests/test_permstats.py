@@ -223,9 +223,18 @@ class TestWest:
         # values; the printed gap rule would wrongly exclude it.
         assert (3, 1, 4, 2) in ps.west_children((3, 1, 2), "W1")
 
+    @given(perms, st.sampled_from(sorted(ps.WEST_PATTERNS)))
+    def test_children_equal_per_gap_filter(self, sigma, cls):
+        # members and non-members alike: every gap, full pattern test
+        pats = ps.WEST_PATTERNS[cls]
+        n = len(sigma) + 1
+        gaps = (sigma[:k] + (n,) + sigma[k:] for k in range(n))
+        assert (ps.west_children(sigma, cls)
+                == [c for c in gaps if ps.avoids_all(c, pats)])
+
     def test_counts(self):
         for cls in ("W1", "W2", "W3"):
-            for n in range(1, 8):
+            for n in range(1, ps.WEST_BOUND + 1):
                 assert len(ps.west_class(n, cls)) == fibonacci(2 * n - 2)
 
     def test_class_equals_filter(self):
@@ -253,6 +262,8 @@ class TestWest:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             ps.west_class(3, "W9")
+        with pytest.raises(ValueError):
+            ps.west_children((1,), "W9")
 
 
 class TestSerialization:
