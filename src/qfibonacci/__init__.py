@@ -1,5 +1,5 @@
 """Exact q-Fibonacci distributions of permutation statistics over
-pattern-restricted classes, with brute-force oracles, the five structural
+pattern-restricted classes, with exhaustive oracles, the five structural
 bijections, and an oracle-adjudicated identity verifier."""
 
 from .polyring import MultiPoly

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 from . import partitions, permstats, qfib
@@ -166,9 +167,7 @@ def _cmd_distribution(args) -> int:
         pats = [partitions.partition_from_text(t) for t in
                 args.patterns.split(",") if t.strip()]
         members = partitions.enumerate_partitions_avoiding(n, pats)
-        poly = MultiPoly.zero()
-        for alpha in members:
-            poly = poly + MultiPoly.term(1, q=partitions.rb(alpha))
+        stat = partitions.rb
     else:
         if args.stat not in _STATS:
             raise ValueError(f"unknown statistic {args.stat!r}; choose from "
@@ -176,9 +175,8 @@ def _cmd_distribution(args) -> int:
                              "--kind partitions)")
         stat = _STATS[args.stat]
         members = permstats.enumerate_avoiders(n, _parse_perm_patterns(args.patterns))
-        poly = MultiPoly.zero()
-        for p in members:
-            poly = poly + MultiPoly.term(1, q=stat(p))
+    tally = Counter(stat(m) for m in members)
+    poly = MultiPoly({(0, 0, e, ()): c for e, c in tally.items()})
     print(_poly_payload(poly, args.format, kind=args.kind, stat=args.stat,
                         n=n, size=len(members)))
     return 0
@@ -199,7 +197,7 @@ def _cmd_verify(args) -> int:
         print(json.dumps(qfib.identity_catalog(), indent=2))
         return 0
     if args.all:
-        reports = qfib.verify_all(max_n=args.max_n)
+        reports = qfib.verify_all(max_n=args.max_n, max_m=args.max_m)
     else:
         if args.identity not in qfib.IDENTITY_IDS:
             raise ValueError(

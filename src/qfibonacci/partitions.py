@@ -163,16 +163,22 @@ def enumerate_partitions_avoiding(n: int, patterns: Iterable[SetPartition],
     return [b for b in enumerate_partitions(n) if partition_avoids_all(b, pats)]
 
 
+def layer_block(left: int, size: int) -> tuple[int, ...]:
+    """The block of size consecutive integers that follows left elements
+    in a layered matching partition."""
+    return tuple(range(left + 1, left + size + 1))
+
+
 def partition_from_word(word: str) -> SetPartition:
     """Layered matching partition of a block word: letters consume
     consecutive integers left to right ('DSSDD' -> 12/3/4/56/78)."""
     w = blockwords.check_word(word)
-    blocks = []
-    lo = 1
+    blocks: list[tuple[int, ...]] = []
+    left = 0
     for ch in w:
         size = 1 if ch == "S" else 2
-        blocks.append(tuple(range(lo, lo + size)))
-        lo += size
+        blocks.append(layer_block(left, size))
+        left += size
     return tuple(blocks)
 
 

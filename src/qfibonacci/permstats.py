@@ -301,6 +301,22 @@ def block_structure(p: Sequence[int], orientation: str | None = None) -> str:
     raise ValueError(f"{p} is not a (reverse) layered matching")
 
 
+def layer_values(n: int, left: int, size: int, orientation: str) -> Perm:
+    """The values of the layer of size elements that follows left placed
+    ones in a (reverse) layered matching of [n]: the highest values not yet
+    placed, ascending (reverse-layered), or the lowest, descending
+    (layered).
+
+    >>> layer_values(7, 2, 2, "reverse-layered"), layer_values(7, 2, 2, "layered")
+    ((4, 5), (4, 3))
+    """
+    if orientation == "reverse-layered":
+        return tuple(range(n - left - size + 1, n - left + 1))
+    if orientation == "layered":
+        return tuple(range(left + size, left, -1))
+    raise ValueError(f"unknown orientation {orientation!r}")
+
+
 def perm_from_word(word: str, orientation: str) -> Perm:
     """The unique (reverse) layered matching with the given block word.
 
@@ -312,22 +328,13 @@ def perm_from_word(word: str, orientation: str) -> Perm:
     w = word.upper()
     if any(ch not in "SD" for ch in w):
         raise ValueError(f"block word must be over {{S, D}}, got {word!r}")
+    if orientation not in ("reverse-layered", "layered"):
+        raise ValueError(f"unknown orientation {orientation!r}")
     n = sum(1 if ch == "S" else 2 for ch in w)
     out: list[int] = []
-    if orientation == "reverse-layered":
-        hi = n
-        for ch in w:
-            size = 1 if ch == "S" else 2
-            out.extend(range(hi - size + 1, hi + 1))
-            hi -= size
-    elif orientation == "layered":
-        lo = 1
-        for ch in w:
-            size = 1 if ch == "S" else 2
-            out.extend(range(lo + size - 1, lo - 1, -1))
-            lo += size
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
+    for ch in w:
+        out.extend(layer_values(n, len(out), 1 if ch == "S" else 2,
+                                orientation))
     return tuple(out)
 
 

@@ -13,9 +13,11 @@ Families (polynomial index n = size of the underlying objects):
           size n; the polynomial for size n is indexed here by n itself)
 
 Each family is declared once, in the FAMILY table: its class, statistic,
-oracle bound and printed recursion.  The oracles enumerate the defining
-combinatorial class and compute each statistic directly on the object;
-recursions and identities are hypotheses checked against them.  Several
+oracle bound and printed recursion.  The oracles visit every member of the
+defining combinatorial class: the word families by a depth-first walk over
+their S/D words that computes the statistic layer by layer from the values
+placed, the West families object by object; recursions and identities are
+hypotheses checked against them.  Several
 printed statements carry typos, so the verifier evaluates cataloged variant
 readings per instance and reports which reading, if any, agrees with the
 oracle.
@@ -32,9 +34,12 @@ from . import blockwords, partitions, permstats
 from .permstats import BoundExceeded
 from .polyring import MultiPoly, q_pow
 
-#: Oracle size cap of the word-structured classes, which stay cheap far past
-#: the identity ranges (the T4.5 suite touches index 25).  The West classes
-#: take permstats.WEST_BOUND: gap insertion is output-linear but denser.
+#: Oracle size cap of the word-structured classes (the T4.5 suite touches
+#: index 25).  Their walks visit all F_n words: at 26, F_26 = 196,418 words
+#: take 0.3-0.9 s per family, and 1.5-2 s for D and D', which decompose every
+#: built permutation into cycles (2 vCPUs, CPython 3.11).  No benchmark
+#: workload measures a larger size, so the cap stays.  The West classes take
+#: permstats.WEST_BOUND: gap insertion is output-linear but denser.
 STRUCTURAL_BOUND = 26
 
 
@@ -160,6 +165,9 @@ class Family(NamedTuple):
     the defining class at size n; weight(object) is its (q exponent, z
     exponents).  recursion is the printed right-hand side (None when there
     is none) and bases holds the values at the sizes it does not cover.
+    walk(n), for the word families, is the polynomial at size n from one
+    depth-first pass over the S/D word tree (see _walked); the oracle uses
+    it in place of the objects/weight loop, which stays the reference.
     Class generators and statistics are looked up on their modules at call
     time, so wrappers installed after import see every call.
     """
@@ -169,6 +177,7 @@ class Family(NamedTuple):
     recursion: Rhs | None
     bases: Mapping[int, MultiPoly]
     bound: int = STRUCTURAL_BOUND
+    walk: Callable[[int], MultiPoly] | None = None
 
     def printed(self, n: int, get: Get, rhs: Rhs | None = None) -> MultiPoly:
         """The printed value at size n: a base, else rhs (by default the
@@ -226,22 +235,116 @@ def _rb(alpha):
     return partitions.rb(alpha), ()
 
 
+# -- the word walk -------------------------------------------------------------
+#
+# A member of a word family is a word over {S, D}, read layer by layer.  The
+# walk appends layers depth first, writes each layer's actual values into one
+# buffer, and updates the statistic from those values.  The placed values of
+# every prefix form an interval (the classes are layered), so the update is
+# O(1) per layer: a step(buf, left, size, low) sees the new layer in
+# buf[left:left + size] after the placed values low..low + left - 1.
+
+
+def _walked(values, step=None, weight=None):
+    """The walk of a word family.  values(n, left, size) is the layer of
+    that size after left placed elements.  The statistic at a leaf is the
+    sum of the steps along its word, or weight(buf) of the built object
+    when step is None."""
+    def walk(n: int) -> MultiPoly:
+        layers: list[list[tuple]] = [[] for _ in range(n + 1)]
+        for left in range(n + 1):
+            for size in (1, 2):
+                if left + size <= n:
+                    vals = values(n, left, size)
+                    layers[left].append((size, vals, min(vals)))
+        buf = [0] * n
+        tally: dict[tuple, int] = {}
+
+        def grow(left: int, d: int, q: int, low: int) -> None:
+            if left == n:
+                key = (d, q, ()) if weight is None else (d, *weight(buf))
+                tally[key] = tally.get(key, 0) + 1
+                return
+            for size, vals, least in layers[left]:
+                buf[left:left + size] = vals
+                grow(left + size, d + size - 1,
+                     q + step(buf, left, size, low) if step else q,
+                     least if least < low else low)
+
+        grow(0, 0, 0, n + 1)
+        return MultiPoly({(n - 2 * d, d, q, z): c
+                          for (d, q, z), c in tally.items()})
+    return walk
+
+
+def _perm_layers(orientation: str):
+    def values(n: int, left: int, size: int):
+        return permstats.layer_values(n, left, size, orientation)
+    return values
+
+
+def _partition_layers(n: int, left: int, size: int):
+    return partitions.layer_block(left, size)
+
+
+def _inv_step(buf, left, size, low):
+    """Inversions the layer adds: a new value below the placed interval is
+    inverted with every placed value, one above it with none; plus the pair
+    inside a doubleton."""
+    a = buf[left]
+    total = left if a < low else 0
+    if size == 2:
+        b = buf[left + 1]
+        total += (left if b < low else 0) + (a > b)
+    return total
+
+
+def _maj_step(buf, left, size, low):
+    """Descents the layer adds, at their 1-based positions: at the junction
+    with the placed values and inside a doubleton."""
+    total = left if left and buf[left - 1] > buf[left] else 0
+    if size == 2 and buf[left] > buf[left + 1]:
+        total += left + 1
+    return total
+
+
+def _rb_step(buf, left, size, low):
+    """Placed elements below the new block's maximum: all of the placed
+    interval when the maximum lies above it, else none."""
+    return left if max(buf[left:left + size]) > low else 0
+
+
+def _morse_step(buf, left, size, low):
+    """Cigler's score: a dash scores the length before it plus one."""
+    return left + 1 if size == 2 else 0
+
+
+_REVERSE, _LAYERED = _perm_layers("reverse-layered"), _perm_layers("layered")
 _ONE, _X = MultiPoly.one(), _t(1, x=1)
 
 # D, D' have no printed bases and W1 is printed for even indices from F_2
 # on; their bases are the class values (the size-2 members of W1 are 12 and
 # 21).
 FAMILY: dict[str, Family] = {
-    "I": Family(_words("reverse-layered"), _inv, _rec_I, {0: _ONE, 1: _X}),
-    "I'": Family(_words("layered"), _inv, _reversal_of("I"), {}),
-    "M": Family(_words("reverse-layered"), _maj, _rec_M, {0: _ONE, 1: _X}),
-    "M'": Family(_words("layered"), _maj, _reversal_of("M"), {}),
-    "RB": Family(_layered_matchings, _rb, None, {}),
-    "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X}),
+    "I": Family(_words("reverse-layered"), _inv, _rec_I, {0: _ONE, 1: _X},
+                walk=_walked(_REVERSE, _inv_step)),
+    "I'": Family(_words("layered"), _inv, _reversal_of("I"), {},
+                 walk=_walked(_LAYERED, _inv_step)),
+    "M": Family(_words("reverse-layered"), _maj, _rec_M, {0: _ONE, 1: _X},
+                walk=_walked(_REVERSE, _maj_step)),
+    "M'": Family(_words("layered"), _maj, _reversal_of("M"), {},
+                 walk=_walked(_LAYERED, _maj_step)),
+    "RB": Family(_layered_matchings, _rb, None, {},
+                 walk=_walked(_partition_layers, _rb_step)),
+    # the buffer holds the Morse sequence's layered matching (morse_to_perm)
+    "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X},
+                walk=_walked(_LAYERED, _morse_step)),
     "D": Family(_words("reverse-layered"), _cycles, _rec_D("D"),
-                {0: _ONE, 1: _t(1, x=1, q=1)}),
+                {0: _ONE, 1: _t(1, x=1, q=1)},
+                walk=_walked(_REVERSE, weight=_cycles)),
     "D'": Family(_words("reverse-layered"), _cycle_type, _rec_D("D'"),
-                 {0: _ONE, 1: _t(1, x=1, z=((1, 1),))}),
+                 {0: _ONE, 1: _t(1, x=1, z=((1, 1),))},
+                 walk=_walked(_REVERSE, weight=_cycle_type)),
     "W1": Family(_west("W1"), _inv, _rec_W1(),
                  {0: _ONE, 1: _ONE, 2: _ONE + q_pow(1)}, permstats.WEST_BOUND),
     "W2": Family(_west("W2"), _inv, _rec_W2(), {0: _ONE, 1: _ONE},
@@ -271,19 +374,28 @@ def check_oracle_bound(family: str, n: int) -> None:
                             f"got n = {n}")
 
 
+def _brute_force(family: str, n: int) -> MultiPoly:
+    """The family's polynomial from its objects, the weight computed on
+    each object: the West families' oracle, and the tests' reference for
+    the word walks."""
+    fam = FAMILY[family]
+    acc: dict[tuple, int] = {}
+    for x, y, obj in fam.objects(n):
+        q, z = fam.weight(obj)
+        k = (x, y, q, z)
+        acc[k] = acc.get(k, 0) + 1
+    return MultiPoly(acc)
+
+
 def qfib_oracle(family: str, n: int) -> MultiPoly:
     """The exact distribution polynomial of the family's statistic over
-    its defining class, by direct enumeration."""
+    its defining class, visiting every member: by the family's walk when
+    it has one, else object by object."""
     check_oracle_bound(family, n)
     key = (family, n)
     if key not in _oracle_cache:
-        fam = FAMILY[family]
-        acc: dict[tuple, int] = {}
-        for x, y, obj in fam.objects(n):
-            q, z = fam.weight(obj)
-            k = (x, y, q, z)
-            acc[k] = acc.get(k, 0) + 1
-        _oracle_cache[key] = MultiPoly(acc)
+        walk = FAMILY[family].walk
+        _oracle_cache[key] = walk(n) if walk else _brute_force(family, n)
     return _oracle_cache[key]
 
 
@@ -646,6 +758,8 @@ def verify_identity(ident: str, max_n: int | None = None,
     return report
 
 
-def verify_all(max_n: int | None = None) -> list[IdentityReport]:
+def verify_all(max_n: int | None = None,
+               max_m: int | None = None) -> list[IdentityReport]:
     """Reports for the whole catalog, in catalog order."""
-    return [verify_identity(ident, max_n=max_n) for ident in IDENTITY_IDS]
+    return [verify_identity(ident, max_n=max_n, max_m=max_m)
+            for ident in IDENTITY_IDS]

@@ -1,8 +1,12 @@
 """Command line behaviors: output formats, exit codes, validation."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfibonacci import qfib
 from qfibonacci.cli import main
@@ -149,6 +153,15 @@ class TestVerifyVerb:
         code, _, _ = run(capsys, "verify")
         assert code == 2
 
+    def test_all_honours_max_m(self, capsys):
+        _, out, _ = run(capsys, "verify", "--all", "--max-n", "5",
+                        "--max-m", "1")
+        t41 = next(r for r in json.loads(out) if r["id"] == "T4.1")
+        _, alone, _ = run(capsys, "verify", "--identity", "T4.1",
+                          "--max-n", "5", "--max-m", "1")
+        assert [t41] == json.loads(alone)
+        assert [i["indices"]["m"] for i in t41["instances"]] == [1] * 4
+
 
 class TestTableVerb:
     def test_csv(self, capsys):
@@ -206,3 +219,61 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "nonnegative" in err
+
+
+# Option values for the exit-code property, good then malformed.  30 is past
+# every enumeration bound (9, 12, 26) but cheap for a recursion.  verify
+# always gets a --max-n, and none past 4: its default ranges build oracles
+# for seconds.
+_SIZES = (("0", "1", "3", "5", "30"), ("-1", "x", ""))
+_FAMILIES = (qfib.FAMILIES, ("Z",))
+_METHODS = (("oracle", "recursion", "closed-form"), ("guess",))
+_OPTIONS = {
+    "enumerate": (("--class", ("123,132,213", "W1", "W3", "12"),
+                   ("W9", "1x", "")),
+                  ("--n", *_SIZES), ("--format", ("text", "json"), ("xml",))),
+    "distribution": (("--kind", ("perms", "partitions"), ("sets",)),
+                     ("--patterns", ("123,132,213", "13/2,123", "12"), ("?",)),
+                     ("--stat", ("inv", "maj", "des", "cycles", "rb"),
+                      ("sd",)),
+                     ("--n", *_SIZES), ("--format", ("text", "json"), ())),
+    "qfib": (("--family", *_FAMILIES), ("--n", *_SIZES),
+             ("--method", *_METHODS),
+             ("--format", ("text", "json", "latex"), ("png",))),
+    "verify": (("--max-m", ("0", "2"), ("-1", "x")),),
+    "table": (("--family", *_FAMILIES), ("--max-n", *_SIZES),
+              ("--method", *_METHODS),
+              ("--format", ("text", "csv", "latex"), ("html",))),
+}
+_VERIFY_SELECTIONS = ((), ("--all",), ("--list",), ("--all", "--list"),
+                      *(("--identity", i) for i in ("T2.1", "T4.1", "T5.3",
+                                                     "T6.2", "T9")))
+
+
+@st.composite
+def _argv(draw):
+    def value(good, bad):
+        pool = bad if bad and draw(st.integers(0, 5)) == 5 else good
+        return draw(st.sampled_from(pool))
+
+    verb = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [verb]
+    if verb == "verify":
+        argv += draw(st.sampled_from(_VERIFY_SELECTIONS))
+        argv += ["--max-n", value(("0", "2", "4"), ("-1", "x"))]
+    for flag, good, bad in _OPTIONS[verb]:
+        if draw(st.integers(0, 5)) < 5:     # mostly present: past the parser
+            argv += [flag, value(good, bad)]
+    return argv
+
+
+class TestExitContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_argv())
+    def test_exit_code_and_no_traceback(self, argv):
+        # an exception escaping main fails the test as well
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

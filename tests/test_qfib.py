@@ -8,6 +8,9 @@ from qfibonacci.permstats import BoundExceeded
 from qfibonacci.polyring import MultiPoly
 
 
+WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
+
+
 def P(text):
     return MultiPoly.parse(text)
 
@@ -34,8 +37,8 @@ class TestOracle:
             qfib.qfib_oracle("W1", 13)
 
     def test_counts_at_one(self):
-        for fam in ("I", "I'", "M", "M'", "RB", "C", "D", "D'"):
-            for n in range(10):
+        for fam in WORD_FAMILIES:
+            for n in range(23):
                 assert qfib.qfib_oracle(fam, n).evaluate() == qfib.fibonacci(n)
         for fam in ("W1", "W2", "W3"):
             for n in range(1, 8):
@@ -46,6 +49,19 @@ class TestOracle:
         for n in range(9):
             dz = qfib.qfib_oracle("D'", n).substitute({"z": MultiPoly.var("q")})
             assert dz == qfib.qfib_oracle("D", n)
+
+
+class TestWalk:
+    def test_word_families_walk_west_families_enumerate(self):
+        assert {f for f, fam in qfib.FAMILY.items() if fam.walk} == set(
+            WORD_FAMILIES)
+
+    def test_walk_equals_brute_force(self):
+        # the oracle's walk against the object-by-object reference
+        for fam in WORD_FAMILIES:
+            walk = qfib.FAMILY[fam].walk
+            for n in range(17):
+                assert walk(n) == qfib._brute_force(fam, n), (fam, n)
 
 
 class TestRecursive:
