@@ -25,6 +25,87 @@ def polys(draw):
     return p
 
 
+nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                    st.integers(1, 4))
+
+
+@st.composite
+def points(draw):
+    """A numeric point: nonzero values for x, y, q and z1..z4."""
+    return {"x": draw(nonzero), "y": draw(nonzero), "q": draw(nonzero),
+            "z": {i: draw(nonzero) for i in range(1, 5)}}
+
+
+def at(p, pt):
+    return p.evaluate(x=pt["x"], y=pt["y"], q=pt["q"], z=pt["z"])
+
+
+#: The substitutions the library uses: the homomorphism test's mapping,
+#: Lemma 2.3's q -> q^-1, the cycle-type collapse z -> q, and one z index.
+MAPPINGS = (
+    {"x": T(1, x=1, q=2), "y": T(-1, y=1, q=-1), "q": q_pow(-1),
+     "z": MultiPoly.one()},
+    {"q": q_pow(-1)},
+    {"z": Q},
+    {"z2": T(3, x=1, q=-1)},
+)
+
+
+def image_point(mapping, pt):
+    """The point where p must be evaluated so that its value equals
+    p.substitute(mapping) evaluated at pt."""
+    def value(name, default):
+        return at(mapping[name], pt) if name in mapping else default
+    zs = {i: value(f"z{i}", value("z", v)) for i, v in pt["z"].items()}
+    return {"x": value("x", pt["x"]), "y": value("y", pt["y"]),
+            "q": value("q", pt["q"]), "z": zs}
+
+
+class TestEvaluationHomomorphism:
+    """Every ring operation commutes with evaluation at a nonzero point."""
+
+    @given(polys(), polys(), points())
+    @settings(deadline=None)
+    def test_add_sub_mul(self, a, b, pt):
+        assert at(a + b, pt) == at(a, pt) + at(b, pt)
+        assert at(a - b, pt) == at(a, pt) - at(b, pt)
+        assert at(a * b, pt) == at(a, pt) * at(b, pt)
+        assert at(-a, pt) == -at(a, pt)
+
+    @given(polys(), st.integers(0, 3), points())
+    @settings(deadline=None)
+    def test_pow(self, a, k, pt):
+        assert at(a ** k, pt) == at(a, pt) ** k
+
+    @given(polys(), st.sampled_from(MAPPINGS), points())
+    @settings(deadline=None)
+    def test_substitute(self, p, mapping, pt):
+        assert at(p.substitute(mapping), pt) == at(p, image_point(mapping, pt))
+
+
+def _dense(key):
+    """A key of terms() as the vector (q, x, y, z1, .., z4)."""
+    x, y, q, z = key
+    zs = dict(z)
+    return (q, x, y, *(zs.get(i, 0) for i in range(1, 5)))
+
+
+class TestCanonicalOrder:
+    @given(polys(), polys())
+    @settings(deadline=None)
+    def test_terms_descend(self, a, b):
+        # q, x, y descending, then z1, z2, ... descending; a missing z index
+        # counts as exponent 0
+        for p in (a, b, a * b + b):
+            keys = [k for k, _ in p.terms()]
+            for key in keys:
+                z = key[3]
+                assert list(z) == sorted(z) and all(e > 0 for _, e in z)
+                assert len({i for i, _ in z}) == len(z)
+            for before, after in zip(keys, keys[1:]):
+                assert _dense(before) > _dense(after)
+
+
 class TestArithmetic:
     def test_cancellation(self):
         assert T(1, x=2, q=1) + T(1, y=1) + T(-1, y=1) == T(1, x=2, q=1)
