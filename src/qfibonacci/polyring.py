@@ -9,44 +9,64 @@ negative (Laurent in q); x, y and every z_i are restricted to nonnegative
 exponents so that encoding mistakes surface immediately instead of
 producing silently meaningless polynomials.
 
-Internally a monomial is the key ``(xexp, yexp, qexp, zexps)`` where
-``zexps`` is a tuple of ``(index, exponent)`` pairs sorted by index,
-containing no zero exponents.  A polynomial maps monomial keys to nonzero
-coefficients; the zero polynomial is the empty mapping.  All values are
-immutable: every operation returns a new polynomial.
+Callers describe a monomial by the exchange key ``(a, b, e, zexps)``, where
+``zexps`` is a tuple of ``(index, exponent)`` pairs in any order.  The
+constructor ``MultiPoly(terms)`` is the one place that reads exchange keys:
+it rejects negative x, y or z exponents and z indices below 1, and sums
+keys that name the same monomial.  ``term``, ``parse`` and
+``from_json_terms`` go through it, and ``terms()`` hands exchange keys
+back, with the z pairs sorted by index and free of zero exponents.
+
+Inside this module a monomial is one flat tuple of exponents
+``(a, b, e, f1, ..., fk)``, where fi is the exponent of z_i and the last
+one is nonzero, so a z-free monomial is ``(a, b, e)`` and a key is as long
+as its largest z index.  A product of monomials is an element-wise sum,
+and the keys are canonical, so equal polynomials have equal term dicts.
+Ring operations build such dicts themselves and wrap them unvalidated.
+A polynomial maps keys to nonzero coefficients; the zero polynomial is the
+empty mapping.  All values are immutable: every operation returns a new
+polynomial.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
+#: The exchange key of a monomial: (x, y, q, ((z index, exponent), ...)).
 Monomial = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 _VAR_KEY_RE = re.compile(r"^(x|y|q|z|z[1-9][0-9]*)$")
 _FACTOR_RE = re.compile(r"^(x|y|q|z[1-9][0-9]*)(?:\^(-?[0-9]+))?$")
 
 
-def _normalize_z(z: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    acc: dict[int, int] = {}
-    for idx, exp in z:
-        acc[idx] = acc.get(idx, 0) + exp
-    pairs = tuple(sorted((i, e) for i, e in acc.items() if e != 0))
-    for i, e in pairs:
+def _flat(key: Monomial) -> tuple[int, ...]:
+    """The internal key of an exchange key, validated."""
+    a, b, e, z = key
+    if a < 0 or b < 0:
+        raise ValueError("x and y exponents must be nonnegative")
+    zexps: list[int] = []
+    for i, f in z:
         if i < 1:
             raise ValueError(f"z index must be a positive integer, got {i}")
-        if e < 0:
-            raise ValueError(f"z{i} exponent must be nonnegative, got {e}")
-    return pairs
+        if f < 0:
+            raise ValueError(f"z{i} exponent must be nonnegative, got {f}")
+        if f:
+            zexps.extend([0] * (i - len(zexps)))
+            zexps[i - 1] += f
+    return (a, b, e, *zexps)
 
 
-def _mul_keys(a: Monomial, b: Monomial) -> Monomial:
-    za = dict(a[3])
-    for i, e in b[3]:
-        za[i] = za.get(i, 0) + e
-    z = tuple(sorted((i, e) for i, e in za.items() if e != 0))
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], z)
+def _exchange(key: tuple[int, ...]) -> Monomial:
+    return (*key[:3], tuple((i, f) for i, f in enumerate(key[3:], 1) if f))
+
+
+def _mul_keys(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b):])
 
 
 class MultiPoly:
@@ -55,9 +75,11 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms: dict[Monomial, int] = {
-            k: c for k, c in (terms or {}).items() if c != 0
-        }
+        out: dict[tuple[int, ...], int] = {}
+        for key, c in (terms or {}).items():
+            k = _flat(key)
+            out[k] = out.get(k, 0) + c
+        self._terms = _nonzero(out)
 
     # -- constructors -------------------------------------------------
 
@@ -73,11 +95,7 @@ class MultiPoly:
     def term(cls, coeff: int, x: int = 0, y: int = 0, q: int = 0,
              z: Iterable[tuple[int, int]] = ()) -> "MultiPoly":
         """The single-term polynomial coeff * x^x * y^y * q^q * prod z_i^e."""
-        if x < 0 or y < 0:
-            raise ValueError("x and y exponents must be nonnegative")
-        if coeff == 0:
-            return cls()
-        return cls({(x, y, q, _normalize_z(z)): coeff})
+        return cls({(x, y, q, tuple(z)): coeff})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
@@ -96,24 +114,21 @@ class MultiPoly:
     # -- basic queries ------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
-        """Terms in canonical order (the order used by canonical_text)."""
-        return iter(sorted(self._terms.items(), key=_term_key))
+        """Terms in canonical order (the order used by canonical_text),
+        with exchange keys."""
+        return ((_exchange(k), c) for k, c in self._ordered())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    def _ordered(self) -> list[tuple[tuple[int, ...], int]]:
+        """Canonical order: q, x, y exponents descending, then the z
+        exponents as a vector z1, z2, ... compared descending.  A key
+        without z_i has exponent 0 there, which tuple order matches: a
+        proper prefix sorts below the longer key, whose extra exponents
+        end in a positive one."""
+        return sorted(self._terms.items(), reverse=True,
+                      key=lambda t: (t[0][2], t[0][0], t[0][1], t[0][3:]))
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, x: int = 0, y: int = 0, q: int = 0,
-                    z: Iterable[tuple[int, int]] = ()) -> int:
-        return self._terms.get((x, y, q, _normalize_z(z)), 0)
-
-    def has_negative_qexp(self) -> bool:
-        return any(k[2] < 0 for k in self._terms)
 
     # -- ring operations ----------------------------------------------
 
@@ -132,12 +147,12 @@ class MultiPoly:
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return MultiPoly(out)
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({k: -c for k, c in self._terms.items()})
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "MultiPoly":
         other = _as_poly(other)
@@ -155,12 +170,12 @@ class MultiPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in other._terms.items():
                 k = _mul_keys(ka, kb)
                 out[k] = out.get(k, 0) + ca * cb
-        return MultiPoly(out)
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -182,42 +197,52 @@ class MultiPoly:
         z index at once.  Unmapped variables are fixed.  A target with
         more than one term is out of contract and rejected.
         """
-        targets: dict[str, tuple[int, Monomial]] = {}
-        for key, val in mapping.items():
-            if not _VAR_KEY_RE.fullmatch(key):
-                raise ValueError(f"unknown substitution variable {key!r}")
+        targets: dict[str, tuple[tuple[int, ...], int]] = {}
+        for name, val in mapping.items():
+            if not _VAR_KEY_RE.fullmatch(name):
+                raise ValueError(f"unknown substitution variable {name!r}")
             poly = _as_poly(val)
             if poly is None:
-                raise ValueError(f"substitution target for {key!r} must be a "
+                raise ValueError(f"substitution target for {name!r} must be a "
                                  "polynomial or integer")
             if len(poly._terms) > 1:
-                raise ValueError(f"substitution target for {key!r} is a sum, "
+                raise ValueError(f"substitution target for {name!r} is a sum, "
                                  "not a single monomial")
-            if not poly._terms:
-                targets[key] = (0, (0, 0, 0, ()))
-            else:
-                ((k, c),) = poly._terms.items()
-                targets[key] = (c, k)
+            targets[name] = next(iter(poly._terms.items()), ((), 0))
 
-        out: dict[Monomial, int] = {}
-        for (a, b, e, z), coeff in self._terms.items():
-            factors = [(coeff, (0, 0, 0, ()))]
-            factors.append(_raise(targets.get("x", (1, (1, 0, 0, ()))), a, "x"))
-            factors.append(_raise(targets.get("y", (1, (0, 1, 0, ()))), b, "y"))
-            factors.append(_raise(targets.get("q", (1, (0, 0, 1, ()))), e, "q"))
-            for i, f in z:
-                tgt = targets.get(f"z{i}", targets.get("z", (1, (0, 0, 0, ((i, 1),)))))
-                factors.append(_raise(tgt, f, f"z{i}"))
-            c = 1
-            k = (0, 0, 0, ())
-            for fc, fk in factors:
-                c *= fc
-                k = _mul_keys(k, fk)
-            if k[0] < 0 or k[1] < 0 or any(ze < 0 for _, ze in k[3]):
+        # images[j] is the (key, coeff) image of the variable at position j
+        # of a key; an unmapped variable maps to itself.
+        images = []
+        for j in range(max(map(len, self._terms), default=0)):
+            name = "xyq"[j] if j < 3 else f"z{j - 2}"
+            fixed = ((0,) * j + (1,), 1)
+            images.append(targets.get(name, fixed if j < 3
+                                      else targets.get("z", fixed)))
+        width = max([3] + [len(k) for k, _ in images])
+
+        out: dict[tuple[int, ...], int] = {}
+        for key, coeff in self._terms.items():
+            exps = [0] * width
+            for (tk, tc), f in zip(images, key):
+                if not f:
+                    continue
+                if f < 0 and tc not in (1, -1):  # only q is Laurent
+                    if tc == 0:
+                        raise ZeroDivisionError(
+                            f"cannot raise zero target of q to {f}")
+                    raise ValueError(f"cannot invert coefficient {tc} exactly "
+                                     "when substituting q")
+                coeff *= tc ** abs(f)
+                for i, t in enumerate(tk):
+                    exps[i] += f * t
+            if exps[0] < 0 or exps[1] < 0 or any(f < 0 for f in exps[3:]):
                 raise ValueError("substitution produced a negative exponent in "
                                  "x, y or z (only q is Laurent)")
-            out[k] = out.get(k, 0) + c
-        return MultiPoly(out)
+            while len(exps) > 3 and not exps[-1]:
+                exps.pop()
+            k = tuple(exps)
+            out[k] = out.get(k, 0) + coeff
+        return _wrap(out)
 
     def evaluate(self, x: int | Fraction = 1, y: int | Fraction = 1,
                  q: int | Fraction = 1,
@@ -229,13 +254,13 @@ class MultiPoly:
         """
         qv = Fraction(q)
         total = Fraction(0)
-        for (a, b, e, zz), coeff in self._terms.items():
+        for (a, b, e, *zz), coeff in self._terms.items():
             if qv == 0 and e < 0:
                 raise ZeroDivisionError(
                     "evaluation at q = 0 with a negative q exponent")
             val = Fraction(coeff) * Fraction(x) ** a * Fraction(y) ** b
             val *= qv ** e
-            for i, f in zz:
+            for i, f in enumerate(zz, 1):
                 if z is None:
                     zi = Fraction(1)
                 elif isinstance(z, Mapping):
@@ -257,7 +282,7 @@ class MultiPoly:
         if not self._terms:
             return "0"
         out = []
-        for idx, (key, coeff) in enumerate(self.terms()):
+        for idx, (key, coeff) in enumerate(self._ordered()):
             body = _term_text(coeff, key, latex)
             if idx == 0:
                 out.append(body if coeff > 0 else "-" + body)
@@ -278,9 +303,11 @@ class MultiPoly:
 
     @classmethod
     def from_json_terms(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        return _sum(cls.term(int(t["coeff"]), x=t["x"], y=t["y"], q=t["q"],
-                             z=tuple((int(i), int(e)) for i, e in t.get("z", ())))
-                    for t in data)
+        return cls(_collect(
+            ((t["x"], t["y"], t["q"],
+              tuple((int(i), int(e)) for i, e in t.get("z", ()))),
+             int(t["coeff"]))
+            for t in data))
 
     @classmethod
     def parse(cls, text: str) -> "MultiPoly":
@@ -319,60 +346,45 @@ class MultiPoly:
                     q += exp
                 else:
                     z.append((int(name[1:]), exp))
-            terms.append(cls.term(coeff, x=x, y=y, q=q, z=tuple(z)))
-        return _sum(terms)
+            terms.append(((x, y, q, tuple(z)), coeff))
+        return cls(_collect(terms))
 
 
-def _sum(polys: Iterable[MultiPoly]) -> MultiPoly:
-    """The sum of the polynomials, accumulated in one dict."""
+def _collect(terms: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
+    """Exchange-key terms summed into one mapping for the constructor."""
     out: dict[Monomial, int] = {}
-    for p in polys:
-        for k, c in p._terms.items():
-            out[k] = out.get(k, 0) + c
-    return MultiPoly(out)
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _nonzero(terms: dict) -> dict:
+    """Drop zero coefficients from terms in place."""
+    if 0 in terms.values():
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
+    return terms
+
+
+def _wrap(terms: dict[tuple[int, ...], int]) -> MultiPoly:
+    """The polynomial of a term dict the ring built itself: its keys are
+    internal and canonical, so they are not validated, and the dict is
+    taken over, not copied."""
+    p = MultiPoly.__new__(MultiPoly)
+    p._terms = _nonzero(terms)
+    return p
 
 
 def _as_poly(v: object) -> MultiPoly | None:
     if isinstance(v, MultiPoly):
         return v
     if isinstance(v, int):
-        return MultiPoly.term(v)
+        return _wrap({(0, 0, 0): v})
     return None
 
 
-def _raise(target: tuple[int, Monomial], exp: int, name: str) -> tuple[int, Monomial]:
-    """Raise a signed monomial (coeff, key) to an integer power."""
-    c, (a, b, e, z) = target
-    if exp == 0:
-        return (1, (0, 0, 0, ()))
-    if exp < 0:
-        if c == 0:
-            raise ZeroDivisionError(f"cannot raise zero target of {name} to {exp}")
-        if c not in (1, -1):
-            raise ValueError(
-                f"cannot invert coefficient {c} exactly when substituting {name}")
-        cc = -1 if (c == -1 and exp % 2) else 1
-    else:
-        cc = c ** exp
-    key = (a * exp, b * exp, e * exp, tuple((i, f * exp) for i, f in z))
-    return (cc, key)
-
-
-#: Sorts after every (index, -exponent) pair of a z key.
-_Z_END = (float("inf"),)
-
-
-def _term_key(term: tuple[Monomial, int]) -> tuple:
-    """Canonical order: q, x, y exponents descending, then the z exponents
-    as a dense vector z1, z2, ... compared descending.  At the first index
-    where two sparse z keys differ, the term with the larger exponent there
-    (a missing index is exponent 0) comes first."""
-    (a, b, e, z), _ = term
-    return (-e, -a, -b, tuple((i, -f) for i, f in z) + (_Z_END,))
-
-
-def _term_text(coeff: int, key: Monomial, latex: bool = False) -> str:
-    a, b, e, z = key
+def _term_text(coeff: int, key: tuple[int, ...], latex: bool = False) -> str:
+    a, b, e = key[:3]
     pieces = []
     if a:
         pieces.append("x" if a == 1 else (f"x^{{{a}}}" if latex else f"x^{a}"))
@@ -380,7 +392,9 @@ def _term_text(coeff: int, key: Monomial, latex: bool = False) -> str:
         pieces.append("y" if b == 1 else (f"y^{{{b}}}" if latex else f"y^{b}"))
     if e:
         pieces.append("q" if e == 1 else (f"q^{{{e}}}" if latex else f"q^{e}"))
-    for i, f in z:
+    for i, f in enumerate(key[3:], 1):
+        if not f:
+            continue
         base = f"z_{{{i}}}" if latex else f"z{i}"
         pieces.append(base if f == 1 else
                       (f"{base}^{{{f}}}" if latex else f"{base}^{f}"))
@@ -396,8 +410,6 @@ def _term_text(coeff: int, key: Monomial, latex: bool = False) -> str:
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
 Q = MultiPoly.var("q")
-ONE = MultiPoly.one()
-ZERO = MultiPoly.zero()
 
 
 def z_var(i: int) -> MultiPoly:

@@ -224,7 +224,7 @@ def _cycles(p):
 
 def _cycle_type(p):
     counts = permstats.cycle_decomposition(p).length_counts()
-    return 0, tuple(sorted(counts.items()))
+    return 0, tuple(counts.items())
 
 
 def _morse(w):
@@ -733,11 +733,9 @@ def verify_identity(ident: str, max_n: int | None = None,
     )
     for indices in _instances(defn, max_n, max_m):
         verdict, used = "fails", None
-        printed_pair = None
+        sides = {}
         for reading in defn.readings:
-            lhs, rhs = reading.build(*indices)
-            if printed_pair is None:
-                printed_pair = (lhs, rhs)
+            lhs, rhs = sides[reading.name] = reading.build(*indices)
             if lhs == rhs:
                 verdict, used = "holds", reading.name
                 break
@@ -745,15 +743,13 @@ def verify_identity(ident: str, max_n: int | None = None,
                 "verdict": verdict, "reading": used}
         report.instances.append(inst)
         if verdict == "fails" and report.counterexample is None:
-            lhs, rhs = printed_pair
+            lhs, rhs = sides[defn.readings[0].name]
             report.counterexample = {
                 "indices": dict(zip(defn.arity, indices)),
                 "lhs": lhs.canonical_text(),
                 "rhs": rhs.canonical_text(),
-                "rhs_by_reading": {
-                    r.name: r.build(*indices)[1].canonical_text()
-                    for r in defn.readings
-                },
+                "rhs_by_reading": {name: r.canonical_text()
+                                   for name, (_, r) in sides.items()},
             }
     return report
 

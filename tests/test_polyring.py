@@ -106,6 +106,41 @@ class TestCanonicalOrder:
                 assert _dense(before) > _dense(after)
 
 
+class TestConstructor:
+    def test_rejects_keys_the_ring_forbids(self):
+        with pytest.raises(ValueError):
+            MultiPoly({(-1, 0, 0, ()): 1, (0, 0, 0, ((0, -3),)): 2})
+        for key in ((-1, 0, 0, ()), (0, 0, 0, ((0, -3),)),
+                    (0, -1, 0, ()), (0, 0, 0, ((0, 1),)),
+                    (0, 0, 0, ((1, -1),)), (0, 0, 0, ((2, 1), (1, -2)))):
+            with pytest.raises(ValueError):
+                MultiPoly({key: 1})
+
+    def test_normalises_z_order(self):
+        p = MultiPoly({(0, 0, 0, ((2, 1), (1, 1))): 1})
+        assert p == MultiPoly.term(1, z=((1, 1), (2, 1)))
+        assert p.canonical_text() == "z1*z2"
+
+    def test_sums_keys_of_one_monomial(self):
+        p = MultiPoly({(1, 0, 2, ((3, 1), (1, 2))): 4,
+                       (1, 0, 2, ((1, 2), (3, 1))): -1,
+                       (1, 0, 2, ((1, 1), (3, 1), (1, 1))): 2,
+                       (0, 0, 0, ((5, 0),)): 7})
+        assert p == T(5, x=1, q=2, z=((1, 2), (3, 1))) + 7
+        assert list(p.terms()) == [((1, 0, 2, ((1, 2), (3, 1))), 5),
+                                   ((0, 0, 0, ()), 7)]
+        assert MultiPoly({(0, 0, 0, ((1, 1),)): 1,
+                          (0, 0, 0, ((1, 1), (1, 0))): -1}) == 0
+
+    def test_does_not_share_its_argument(self):
+        d = {(1, 0, 0, ()): 2, (0, 0, 0, ((1, 1),)): 1}
+        p = MultiPoly(d)
+        d[(1, 0, 0, ())] = 7
+        d[(0, 0, 3, ())] = 1
+        del d[(0, 0, 0, ((1, 1),))]
+        assert p == T(2, x=1) + T(1, z=((1, 1),))
+
+
 class TestArithmetic:
     def test_cancellation(self):
         assert T(1, x=2, q=1) + T(1, y=1) + T(-1, y=1) == T(1, x=2, q=1)

@@ -2,10 +2,12 @@
 counts, and the identity verifier's adjudication behavior."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfibonacci import qfib
+from qfibonacci import permstats, qfib
 from qfibonacci.permstats import BoundExceeded
-from qfibonacci.polyring import MultiPoly
+from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 
 
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
@@ -199,3 +201,50 @@ class TestVerifier:
         assert {"indices", "verdict", "reading"} <= set(rep["instances"][0])
         assert rep["counterexample"] is None or \
             {"indices", "lhs", "rhs"} <= set(rep["counterexample"])
+
+
+def _use(p):
+    """Everything a caller can do with a returned polynomial."""
+    for r in (p + X, 1 + p, p - p, 2 - p, -p, p * Q, 3 * p, p * p, p ** 2,
+              p.substitute({"q": q_pow(-1)}), p.substitute({"z": 1, "x": Q})):
+        r + p
+    p += X
+    p -= Q
+    p *= p
+
+
+class TestCacheSafety:
+    """What a caller does with a returned value never changes a later
+    result."""
+
+    @given(st.sampled_from(qfib.FAMILIES), st.integers(0, 8))
+    @settings(deadline=None, max_examples=40)
+    def test_oracle(self, family, n):
+        before = qfib.qfib_oracle(family, n).canonical_text()
+        _use(qfib.qfib_oracle(family, n))
+        assert qfib.qfib_oracle(family, n).canonical_text() == before
+        assert qfib.qfib_oracle(family, n) == qfib._brute_force(family, n)
+
+    @given(st.sampled_from(qfib.RECURSIVE_FAMILIES), st.integers(0, 12))
+    @settings(deadline=None, max_examples=40)
+    def test_recursive(self, family, n):
+        # bases are shared between sizes and families, so check them all
+        def texts():
+            return [qfib.qfib_recursive(f, m).canonical_text()
+                    for f in qfib.RECURSIVE_FAMILIES for m in range(13)]
+        before = texts()
+        _use(qfib.qfib_recursive(family, n))
+        assert texts() == before
+
+    @given(st.sampled_from(sorted(permstats.WEST_PATTERNS)), st.integers(0, 7))
+    @settings(deadline=None, max_examples=30)
+    def test_west_class(self, wclass, n):
+        members = permstats.west_class(n, wclass)
+        expected = list(members)
+        members.reverse()
+        members.append((9, 9))
+        del members[0]
+        _use(qfib.qfib_oracle(wclass, n))
+        assert permstats.west_class(n, wclass) == expected
+        assert expected == permstats.enumerate_avoiders(
+            n, permstats.WEST_PATTERNS[wclass])
