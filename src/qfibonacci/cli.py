@@ -10,8 +10,8 @@ Verbs:
 
 Exit codes: 0 success (verify: every instance holds under some cataloged
 reading), 1 verification found an instance failing all readings, 2 usage
-error, 3 bound or memory exceeded.  Data goes to stdout, diagnostics to
-stderr.  There is no configuration beyond the flags.
+error, 3 bound, memory or exponent range exceeded.  Data goes to stdout,
+diagnostics to stderr.  There is no configuration beyond the flags.
 """
 
 from __future__ import annotations
@@ -260,6 +260,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return BOUND_EXIT
     except MemoryError:
         print("qfib: out of memory; try a smaller size", file=sys.stderr)
+        return BOUND_EXIT
+    except OverflowError as exc:
+        print(f"qfib: {exc}", file=sys.stderr)
         return BOUND_EXIT
     except (ValueError, KeyError) as exc:
         print(f"qfib: error: {exc}", file=sys.stderr)

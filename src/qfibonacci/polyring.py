@@ -12,27 +12,43 @@ producing silently meaningless polynomials.
 Callers describe a monomial by the exchange key ``(a, b, e, zexps)``, where
 ``zexps`` is a tuple of ``(index, exponent)`` pairs in any order.  The
 constructor ``MultiPoly(terms)`` is the one place that reads exchange keys:
-it rejects negative x, y or z exponents and z indices below 1, and sums
-keys that name the same monomial.  ``term``, ``parse`` and
-``from_json_terms`` go through it, and ``terms()`` hands exchange keys
-back, with the z pairs sorted by index and free of zero exponents.
+it rejects exponents, z indices and coefficients that are not integers,
+negative x, y or z exponents and z indices below 1, and sums keys that
+name the same monomial.  ``term``, ``parse`` and ``from_json_terms`` go
+through it, and ``terms()`` hands exchange keys back, with the z pairs
+sorted by index and free of zero exponents.
 
-Inside this module a monomial is one flat tuple of exponents
-``(a, b, e, f1, ..., fk)``, where fi is the exponent of z_i and the last
-one is nonzero, so a z-free monomial is ``(a, b, e)`` and a key is as long
-as its largest z index.  A product of monomials is an element-wise sum,
-and the keys are canonical, so equal polynomials have equal term dicts.
-Ring operations build such dicts themselves and wrap them unvalidated.
-A polynomial maps keys to nonzero coefficients; the zero polynomial is the
-empty mapping.  All values are immutable: every operation returns a new
-polynomial.
+Inside this module a monomial is one Python int made of 32-bit fields,
+field 0 the lowest: field 0 holds e + 2^30 (the bias makes the Laurent
+exponent nonnegative), fields 1 and 2 hold a and b, and field 2 + i holds
+the exponent of z_i.  Every stored field is below 2^31, so x, y and z
+exponents lie in [0, 2^31) and q exponents in [-2^30, 2^30).  Bit 31 of
+each field is a guard bit and is clear in every key.  Zero fields above
+the last nonzero one cost nothing, so there is nothing to strip: the
+monomial 1 is the key 2^30, and equal polynomials have equal term dicts.
+
+A monomial product is one int addition, ka + kb - 2^30.  Two fields below
+2^31 sum below 2^32 without a carry, so a product exponent that leaves its
+range sets the guard bit of its field (a q sum below -2^30 borrows, which
+sets bit 31 of field 0).  The range is checked where keys are packed (the
+constructor and ``substitute``, which raise ``OverflowError`` naming the
+field limit) and on every product, by testing the guard bits of the OR of
+its keys; ``**`` multiplies through ``*``.  A key decodes to the tuple
+(e + 2^30, a, b, f1, ..., fk), at least three fields long and without
+trailing zero z fields, which compared descending is the canonical term
+order.  Ring operations build term dicts themselves and wrap them
+unvalidated.  A polynomial maps keys to nonzero coefficients; the zero
+polynomial is the empty mapping.  All values are immutable: every
+operation returns a new polynomial.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 #: The exchange key of a monomial: (x, y, q, ((z index, exponent), ...)).
@@ -41,32 +57,71 @@ Monomial = tuple[int, int, int, tuple[tuple[int, int], ...]]
 _VAR_KEY_RE = re.compile(r"^(x|y|q|z|z[1-9][0-9]*)$")
 _FACTOR_RE = re.compile(r"^(x|y|q|z[1-9][0-9]*)(?:\^(-?[0-9]+))?$")
 
+_BIAS = 1 << 30   # added to the q exponent in field 0; the key of 1
+_LIMIT = 1 << 31  # every stored field is below this
+_RANGE = "x, y and z exponents must lie in [0, 2^31) and q in [-2^30, 2^30)"
 
-def _flat(key: Monomial) -> tuple[int, ...]:
+
+def _name(j: int) -> str:
+    """The variable of field j."""
+    return "qxy"[j] if j < 3 else f"z{j - 2}"
+
+
+def _pack(exps: list[int]) -> int:
+    """The key of the dense exponents [e, a, b, f1, ..., fk], range-checked."""
+    key = 0
+    for j in range(len(exps) - 1, -1, -1):
+        f = exps[j] + _BIAS if j == 0 else exps[j]
+        if not 0 <= f < _LIMIT:
+            if f < 0 and j:
+                raise ValueError(f"{_name(j)} exponent {f} is negative; "
+                                 "only q is Laurent")
+            raise OverflowError(f"{_name(j)} exponent {exps[j]} is outside "
+                                f"its field: {_RANGE}")
+        key = key << 32 | f
+    return key
+
+
+def _flat(key: Monomial) -> int:
     """The internal key of an exchange key, validated."""
     a, b, e, z = key
-    if a < 0 or b < 0:
-        raise ValueError("x and y exponents must be nonnegative")
-    zexps: list[int] = []
+    if not all(isinstance(v, int) for v in (a, b, e)):
+        raise ValueError(f"exponents must be integers, got {(a, b, e)!r}")
+    exps = [e, a, b]
     for i, f in z:
-        if i < 1:
-            raise ValueError(f"z index must be a positive integer, got {i}")
-        if f < 0:
-            raise ValueError(f"z{i} exponent must be nonnegative, got {f}")
+        if not isinstance(i, int) or i < 1:
+            raise ValueError(f"z index must be a positive integer, got {i!r}")
+        if not isinstance(f, int) or f < 0:
+            raise ValueError(f"z{i} exponent must be a nonnegative integer, "
+                             f"got {f!r}")
         if f:
-            zexps.extend([0] * (i - len(zexps)))
-            zexps[i - 1] += f
-    return (a, b, e, *zexps)
+            exps.extend([0] * (i + 3 - len(exps)))
+            exps[i + 2] += f
+    return _pack(exps)
 
 
-def _exchange(key: tuple[int, ...]) -> Monomial:
-    return (*key[:3], tuple((i, f) for i, f in enumerate(key[3:], 1) if f))
+def _fields(key: int) -> tuple[int, ...]:
+    """The fields (e + 2^30, a, b, f1, ..., fk) of a key.  "I" is the
+    native 32-bit unsigned int, hence the native byte order."""
+    size = max(12, (key.bit_length() + 31) >> 5 << 2)
+    return tuple(memoryview(key.to_bytes(size, sys.byteorder)).cast("I"))
 
 
-def _mul_keys(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return (*map(add, a, b), *a[len(b):])
+def _exchange(fields: tuple[int, ...]) -> Monomial:
+    e, a, b, *z = fields
+    return (a, b, e - _BIAS, tuple((i, f) for i, f in enumerate(z, 1) if f))
+
+
+def _exps(key: int) -> list[int]:
+    """The dense exponents [e, a, b, f1, ..., fk] of a key."""
+    exps = list(_fields(key))
+    exps[0] -= _BIAS
+    return exps
+
+
+def _guard_mask(bits: int) -> int:
+    """The guard bit of every field of a key up to bits long."""
+    return int.from_bytes(b"\0\0\0\x80" * ((bits + 31) >> 5), "little")
 
 
 class MultiPoly:
@@ -75,8 +130,10 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         for key, c in (terms or {}).items():
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient must be an integer, got {c!r}")
             k = _flat(key)
             out[k] = out.get(k, 0) + c
         self._terms = _nonzero(out)
@@ -116,16 +173,18 @@ class MultiPoly:
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order (the order used by canonical_text),
         with exchange keys."""
-        return ((_exchange(k), c) for k, c in self._ordered())
+        return ((_exchange(f), c) for f, c in self._ordered())
 
     def _ordered(self) -> list[tuple[tuple[int, ...], int]]:
-        """Canonical order: q, x, y exponents descending, then the z
-        exponents as a vector z1, z2, ... compared descending.  A key
-        without z_i has exponent 0 there, which tuple order matches: a
-        proper prefix sorts below the longer key, whose extra exponents
-        end in a positive one."""
-        return sorted(self._terms.items(), reverse=True,
-                      key=lambda t: (t[0][2], t[0][0], t[0][1], t[0][3:]))
+        """The (fields, coefficient) pairs in canonical order: q, x, y
+        exponents descending, then the z exponents as a vector z1, z2, ...
+        compared descending.  Decoded fields are in exactly that order,
+        and a key without z_i has exponent 0 there, which tuple order
+        matches: a proper prefix sorts below the longer key, whose extra
+        fields end in a positive one.  Keys are distinct, so coefficients
+        are never compared."""
+        return sorted(zip(map(_fields, self._terms), self._terms.values()),
+                      reverse=True)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -170,11 +229,16 @@ class MultiPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         for ka, ca in self._terms.items():
+            ka -= _BIAS
             for kb, cb in other._terms.items():
-                k = _mul_keys(ka, kb)
+                k = ka + kb
                 out[k] = out.get(k, 0) + ca * cb
+        guards = reduce(or_, out, 0)
+        if guards & _guard_mask(guards.bit_length()):
+            raise OverflowError(f"a product exponent is outside its field: "
+                                f"{_RANGE}")
         return _wrap(out)
 
     __rmul__ = __mul__
@@ -197,7 +261,7 @@ class MultiPoly:
         z index at once.  Unmapped variables are fixed.  A target with
         more than one term is out of contract and rejected.
         """
-        targets: dict[str, tuple[tuple[int, ...], int]] = {}
+        targets: dict[str, tuple[list[int], int]] = {}
         for name, val in mapping.items():
             if not _VAR_KEY_RE.fullmatch(name):
                 raise ValueError(f"unknown substitution variable {name!r}")
@@ -208,22 +272,23 @@ class MultiPoly:
             if len(poly._terms) > 1:
                 raise ValueError(f"substitution target for {name!r} is a sum, "
                                  "not a single monomial")
-            targets[name] = next(iter(poly._terms.items()), ((), 0))
+            k, c = next(iter(poly._terms.items()), (_BIAS, 0))
+            targets[name] = (_exps(k), c)
 
-        # images[j] is the (key, coeff) image of the variable at position j
-        # of a key; an unmapped variable maps to itself.
+        terms = [(_exps(k), c) for k, c in self._terms.items()]
+        # images[j] is the (exponents, coeff) image of the variable of
+        # field j; an unmapped variable maps to itself.
         images = []
-        for j in range(max(map(len, self._terms), default=0)):
-            name = "xyq"[j] if j < 3 else f"z{j - 2}"
-            fixed = ((0,) * j + (1,), 1)
-            images.append(targets.get(name, fixed if j < 3
+        for j in range(max((len(e) for e, _ in terms), default=0)):
+            fixed = ([0] * j + [1], 1)
+            images.append(targets.get(_name(j), fixed if j < 3
                                       else targets.get("z", fixed)))
-        width = max([3] + [len(k) for k, _ in images])
+        width = max([3] + [len(e) for e, _ in images])
 
-        out: dict[tuple[int, ...], int] = {}
-        for key, coeff in self._terms.items():
+        out: dict[int, int] = {}
+        for exps_in, coeff in terms:
             exps = [0] * width
-            for (tk, tc), f in zip(images, key):
+            for (te, tc), f in zip(images, exps_in):
                 if not f:
                     continue
                 if f < 0 and tc not in (1, -1):  # only q is Laurent
@@ -233,14 +298,9 @@ class MultiPoly:
                     raise ValueError(f"cannot invert coefficient {tc} exactly "
                                      "when substituting q")
                 coeff *= tc ** abs(f)
-                for i, t in enumerate(tk):
+                for i, t in enumerate(te):
                     exps[i] += f * t
-            if exps[0] < 0 or exps[1] < 0 or any(f < 0 for f in exps[3:]):
-                raise ValueError("substitution produced a negative exponent in "
-                                 "x, y or z (only q is Laurent)")
-            while len(exps) > 3 and not exps[-1]:
-                exps.pop()
-            k = tuple(exps)
+            k = _pack(exps)
             out[k] = out.get(k, 0) + coeff
         return _wrap(out)
 
@@ -254,7 +314,8 @@ class MultiPoly:
         """
         qv = Fraction(q)
         total = Fraction(0)
-        for (a, b, e, *zz), coeff in self._terms.items():
+        for key, coeff in self._terms.items():
+            e, a, b, *zz = _exps(key)
             if qv == 0 and e < 0:
                 raise ZeroDivisionError(
                     "evaluation at q = 0 with a negative q exponent")
@@ -282,8 +343,8 @@ class MultiPoly:
         if not self._terms:
             return "0"
         out = []
-        for idx, (key, coeff) in enumerate(self._ordered()):
-            body = _term_text(coeff, key, latex)
+        for idx, (fields, coeff) in enumerate(self._ordered()):
+            body = _term_text(coeff, fields, latex)
             if idx == 0:
                 out.append(body if coeff > 0 else "-" + body)
             else:
@@ -366,7 +427,7 @@ def _nonzero(terms: dict) -> dict:
     return terms
 
 
-def _wrap(terms: dict[tuple[int, ...], int]) -> MultiPoly:
+def _wrap(terms: dict[int, int]) -> MultiPoly:
     """The polynomial of a term dict the ring built itself: its keys are
     internal and canonical, so they are not validated, and the dict is
     taken over, not copied."""
@@ -379,12 +440,13 @@ def _as_poly(v: object) -> MultiPoly | None:
     if isinstance(v, MultiPoly):
         return v
     if isinstance(v, int):
-        return _wrap({(0, 0, 0): v})
+        return _wrap({_BIAS: v})
     return None
 
 
-def _term_text(coeff: int, key: tuple[int, ...], latex: bool = False) -> str:
-    a, b, e = key[:3]
+def _term_text(coeff: int, fields: tuple[int, ...], latex: bool = False) -> str:
+    e, a, b, *z = fields
+    e -= _BIAS
     pieces = []
     if a:
         pieces.append("x" if a == 1 else (f"x^{{{a}}}" if latex else f"x^{a}"))
@@ -392,7 +454,7 @@ def _term_text(coeff: int, key: tuple[int, ...], latex: bool = False) -> str:
         pieces.append("y" if b == 1 else (f"y^{{{b}}}" if latex else f"y^{b}"))
     if e:
         pieces.append("q" if e == 1 else (f"q^{{{e}}}" if latex else f"q^{e}"))
-    for i, f in enumerate(key[3:], 1):
+    for i, f in enumerate(z, 1):
         if not f:
             continue
         base = f"z_{{{i}}}" if latex else f"z{i}"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qfibonacci import qfib
 from qfibonacci.cli import main
+from qfibonacci.polyring import q_pow
 
 
 def run(capsys, *argv):
@@ -66,6 +67,20 @@ class TestQfibVerb:
         assert code == 3
         assert out == ""
         assert err.startswith("qfib: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_overflow_error_exit_3(self, capsys, monkeypatch):
+        # stands in for a value whose exponent leaves the ring's range
+        def out_of_range(family, n):
+            return q_pow(2 ** 29) ** 2
+
+        monkeypatch.setattr(qfib, "qfib_recursive", out_of_range)
+        code, out, err = run(capsys, "qfib", "--family", "I'", "--n", "50000",
+                             "--method", "recursion")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qfib: ") and err.count("\n") == 1
+        assert "2^30" in err
         assert "Traceback" not in err
 
     def test_unknown_family(self, capsys):

@@ -25,6 +25,25 @@ def polys(draw):
     return p
 
 
+#: Exponents of wide keys stay within about 2^29 of zero, so that every
+#: product of two of them stays inside the ring's fields.
+WIDE = 2 ** 29
+
+
+@st.composite
+def wide_polys(draw):
+    """Up to five terms with z indices up to 70 (D' at 60 uses z58) and
+    x, y, z exponents up to 2^29, q exponents in [-2^29, 2^29)."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        zidx = draw(st.lists(st.integers(1, 70), unique=True, max_size=4))
+        z = tuple((i, draw(st.integers(1, WIDE))) for i in zidx)
+        key = (draw(st.integers(0, WIDE)), draw(st.integers(0, WIDE)),
+               draw(st.integers(-WIDE, WIDE - 1)), z)
+        terms[key] = terms.get(key, 0) + draw(st.integers(-9, 9))
+    return MultiPoly(terms)
+
+
 nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool),
                     st.integers(1, 4))
 
@@ -106,7 +125,109 @@ class TestCanonicalOrder:
                 assert _dense(before) > _dense(after)
 
 
+def _dense_wide(key):
+    """A key of terms() as the vector (q, x, y, z1, .., z70)."""
+    x, y, q, z = key
+    zs = dict(z)
+    return (q, x, y, *(zs.get(i, 0) for i in range(1, 71)))
+
+
+class TestWideKeys:
+    @given(wide_polys(), wide_polys())
+    @settings(deadline=None)
+    def test_product_adds_exponents(self, a, b):
+        want = {}
+        for (xa, ya, qa, za), ca in a.terms():
+            for (xb, yb, qb, zb), cb in b.terms():
+                z = dict(za)
+                for i, e in zb:
+                    z[i] = z.get(i, 0) + e
+                key = (xa + xb, ya + yb, qa + qb, tuple(sorted(z.items())))
+                want[key] = want.get(key, 0) + ca * cb
+        assert dict((a * b).terms()) == {k: c for k, c in want.items() if c}
+
+    @given(wide_polys(), wide_polys())
+    @settings(deadline=None)
+    def test_terms_descend(self, a, b):
+        for p in (a, b, a * b + b):
+            keys = [k for k, _ in p.terms()]
+            for before, after in zip(keys, keys[1:]):
+                assert _dense_wide(before) > _dense_wide(after)
+
+    @given(wide_polys(), wide_polys())
+    @settings(deadline=None)
+    def test_renderings_invert(self, a, b):
+        for p in (a, b, a * b):
+            assert MultiPoly.parse(p.canonical_text()) == p
+            assert MultiPoly.from_json_terms(p.to_json_terms()) == p
+
+
+class TestExponentRange:
+    """x, y and z exponents lie in [0, 2^31), q exponents in
+    [-2^30, 2^30); a value outside raises OverflowError, never wraps."""
+
+    def test_x_y_z_limits(self):
+        top = 2 ** 31 - 1
+        assert T(1, x=top).canonical_text() == f"x^{top}"
+        assert list(T(1, y=top, z=((9, top),)).terms()) == [
+            ((0, top, 0, ((9, top),)), 1)]
+        for bad in ({"x": top + 1}, {"y": top + 1}, {"z": ((9, top + 1),)},
+                    {"z": ((9, top), (9, 1))}):
+            with pytest.raises(OverflowError, match="2\\^31"):
+                T(1, **bad)
+
+    def test_q_limits(self):
+        assert T(1, q=2 ** 30 - 1).canonical_text() == f"q^{2 ** 30 - 1}"
+        assert T(1, q=-2 ** 30).canonical_text() == f"q^-{2 ** 30}"
+        assert T(1, q=-2 ** 30) * T(1, q=2 ** 30 - 1) == q_pow(-1)
+        for q in (2 ** 30, -2 ** 30 - 1):
+            with pytest.raises(OverflowError, match="2\\^30"):
+                T(1, q=q)
+
+    def test_product_carry_refused(self):
+        half = 2 ** 30
+        assert T(1, x=half) * T(1, x=half - 1) == T(1, x=2 ** 31 - 1)
+        assert q_pow(-half // 2) * q_pow(-half // 2) == q_pow(-half)
+        for a, b in ((T(1, x=half), T(1, x=half)),
+                     (T(1, y=1, z=((3, half),)), T(1, z=((3, half),))),
+                     (q_pow(half // 2), q_pow(half // 2)),
+                     (q_pow(-half), q_pow(-1)),
+                     (T(1, x=1, q=-half), q_pow(-1)),
+                     (X + q_pow(half - 1), Q)):
+            with pytest.raises(OverflowError):
+                a * b
+
+    def test_power_refused(self):
+        assert q_pow(2 ** 28) ** 3 == q_pow(3 * 2 ** 28)
+        with pytest.raises(OverflowError):
+            q_pow(2 ** 28) ** 4
+        with pytest.raises(OverflowError):
+            (1 + T(1, x=2 ** 30)) ** 2
+
+    def test_substitute_refused(self):
+        half = 2 ** 30
+        assert T(1, x=2).substitute({"x": T(1, x=half - 1)}) == T(
+            1, x=2 ** 31 - 2)
+        with pytest.raises(OverflowError):
+            T(1, x=2).substitute({"x": T(1, x=half)})
+        assert q_pow(half // 2).substitute({"q": q_pow(-2)}) == q_pow(-half)
+        with pytest.raises(OverflowError):
+            q_pow(half // 2 + 1).substitute({"q": q_pow(-2)})
+        with pytest.raises(OverflowError):
+            T(1, z=((1, 2),)).substitute({"z": T(1, y=half)})
+
+
 class TestConstructor:
+    def test_rejects_values_that_are_not_integers(self):
+        for make in (lambda: MultiPoly({(0.5, 0, 0, ()): 1}),
+                     lambda: MultiPoly.term(1, q=1.5),
+                     lambda: MultiPoly.term(0.5, q=1),
+                     lambda: MultiPoly.term(1, z=((2.0, 1),)),
+                     lambda: MultiPoly.term(1, z=((2, 1.0),)),
+                     lambda: MultiPoly.term(Fraction(1, 2))):
+            with pytest.raises(ValueError):
+                make()
+
     def test_rejects_keys_the_ring_forbids(self):
         with pytest.raises(ValueError):
             MultiPoly({(-1, 0, 0, ()): 1, (0, 0, 0, ((0, -3),)): 2})
