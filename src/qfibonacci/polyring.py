@@ -45,10 +45,11 @@ operation returns a new polynomial.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
 #: The exchange key of a monomial: (x, y, q, ((z index, exponent), ...)).
@@ -85,7 +86,7 @@ def _pack(exps: list[int]) -> int:
 def _flat(key: Monomial) -> int:
     """The internal key of an exchange key, validated."""
     a, b, e, z = key
-    if not all(isinstance(v, int) for v in (a, b, e)):
+    if not (isinstance(a, int) and isinstance(b, int) and isinstance(e, int)):
         raise ValueError(f"exponents must be integers, got {(a, b, e)!r}")
     exps = [e, a, b]
     for i, f in z:
@@ -103,8 +104,10 @@ def _flat(key: Monomial) -> int:
 def _fields(key: int) -> tuple[int, ...]:
     """The fields (e + 2^30, a, b, f1, ..., fk) of a key.  "I" is the
     native 32-bit unsigned int, hence the native byte order."""
-    size = max(12, (key.bit_length() + 31) >> 5 << 2)
-    return tuple(memoryview(key.to_bytes(size, sys.byteorder)).cast("I"))
+    n = (key.bit_length() + 31) >> 5
+    if n < 3:
+        n = 3
+    return struct.unpack(f"{n}I", key.to_bytes(4 * n, sys.byteorder))
 
 
 def _exchange(fields: tuple[int, ...]) -> Monomial:
@@ -181,10 +184,9 @@ class MultiPoly:
         compared descending.  Decoded fields are in exactly that order,
         and a key without z_i has exponent 0 there, which tuple order
         matches: a proper prefix sorts below the longer key, whose extra
-        fields end in a positive one.  Keys are distinct, so coefficients
-        are never compared."""
+        fields end in a positive one."""
         return sorted(zip(map(_fields, self._terms), self._terms.values()),
-                      reverse=True)
+                      key=itemgetter(0), reverse=True)
 
     def __len__(self) -> int:
         return len(self._terms)
