@@ -239,8 +239,8 @@ class MultiPoly:
                 out[k] = out.get(k, 0) + ca * cb
         guards = reduce(or_, out, 0)
         if guards & _guard_mask(guards.bit_length()):
-            raise OverflowError(f"a product exponent is outside its field: "
-                                f"{_RANGE}")
+            raise OverflowError("a product exponent is outside its field: "
+                                + _RANGE)
         return _wrap(out)
 
     __rmul__ = __mul__
