@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -353,35 +354,66 @@ def _west_patterns(wclass: str) -> tuple[Perm, ...]:
         raise ValueError(f"unknown West class {wclass!r}") from None
 
 
-def _contains_through(sigma: Perm, pi: Sequence[int], k: int) -> bool:
+@lru_cache(maxsize=64)
+def _site_plan(pi: Perm) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """pi compiled for _contains_through: the index top of its largest
+    letter, and for every other index i in order the step (i, low, high).
+    low is the earlier index whose letter is nearest below pi[i] (-1 when
+    there is none); high is the index nearest above among the earlier ones
+    and top, which always qualifies.
+
+    While the letters chosen so far are order isomorphic to pi's prefix, a
+    value v fits as letter i exactly when it lies strictly between the
+    values chosen for low and high."""
+    top = pi.index(max(pi))
+    steps = []
+    for i in range(len(pi)):
+        if i != top:
+            below = [t for t in range(i) if pi[t] < pi[i]]
+            above = [t for t in range(i) if pi[t] > pi[i]] + [top]
+            steps.append((i, max(below, key=pi.__getitem__, default=-1),
+                          min(above, key=pi.__getitem__)))
+    return top, tuple(steps)
+
+
+def _contains_through(sigma: Perm, pi: Perm, k: int) -> bool:
     """True iff some occurrence of pi in sigma puts pi's largest letter at
     position k (0-based), where sigma[k] is sigma's largest value:
-    contains_pattern's backtrack with the step for that letter pinned."""
+    contains_pattern's backtrack with the step for that letter pinned and
+    each letter's fit reduced to one comparison (see _site_plan)."""
+    top, steps = _site_plan(pi)
+    if not steps:
+        return True
     m, n = len(pi), len(sigma)
-    top = pi.index(max(pi))
-    chosen: list[int] = []
+    last = len(steps) - 1
+    # chosen[-1] is the 0 below every value; sigma[k] is above every other
+    chosen = [0] * (m + 1)
+    chosen[top] = sigma[k]
 
-    def extend(start: int) -> bool:
-        i = len(chosen)
-        if i == m:
-            return True
-        if i == top:
-            # sigma[k] is the largest value: it fits any earlier choice
-            chosen.append(sigma[k])
-            found = extend(k + 1)
-            chosen.pop()
-            return found
-        stop = k - (top - i) if i < top else n - (m - i)
-        for j in range(start, stop + 1):
-            v = sigma[j]
-            if all((pi[t] < pi[i]) == (chosen[t] < v) for t in range(i)):
-                chosen.append(v)
-                if extend(j + 1):
+    def extend(s: int, start: int) -> bool:
+        i, low, high = steps[s]
+        if i < top:
+            # leave a position before k for each letter up to top
+            stop = k - top + i + 1
+        else:
+            stop = n - m + i + 1
+            if start <= k:
+                start = k + 1
+        lo, hi = chosen[low], chosen[high]
+        if s == last:
+            for v in sigma[start:stop]:
+                if lo < v < hi:
                     return True
-                chosen.pop()
+            return False
+        for j in range(start, stop):
+            v = sigma[j]
+            if lo < v < hi:
+                chosen[i] = v
+                if extend(s + 1, j + 1):
+                    return True
         return False
 
-    return extend(0)
+    return extend(0, 0)
 
 
 def _grow(sigma: Perm, sites: int,

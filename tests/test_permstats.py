@@ -5,7 +5,7 @@ recomputation."""
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfibonacci import permstats as ps
@@ -231,6 +231,33 @@ class TestWest:
         gaps = (sigma[:k] + (n,) + sigma[k:] for k in range(n))
         assert (ps.west_children(sigma, cls)
                 == [c for c in gaps if ps.avoids_all(c, pats)])
+
+    def test_site_plan(self):
+        # (i, low, high): earlier index nearest below pi[i] (-1: none) and
+        # nearest above among the earlier ones and the largest letter's
+        assert ps._site_plan((2, 4, 1, 3)) == (1, ((0, -1, 1), (2, -1, 0),
+                                                   (3, 0, 1)))
+        assert ps._site_plan((3, 1, 5, 2, 4)) == (
+            2, ((0, -1, 2), (1, -1, 0), (3, 1, 0), (4, 0, 2)))
+
+    @given(st.integers(0, 8).flatmap(
+               lambda n: st.tuples(st.permutations(range(1, n + 1)),
+                                   st.integers(0, n))),
+           st.one_of(st.sampled_from([(2, 4, 1, 3), (3, 1, 4, 2),
+                                      (3, 1, 5, 2, 4), (2, 5, 3, 1, 4)]),
+                     st.integers(1, 5).flatmap(
+                         lambda m: st.permutations(range(1, m + 1)))
+                     .map(tuple)))
+    @settings(deadline=None)
+    def test_contains_through_equals_brute_force(self, sigma_k, pi):
+        sigma, k = sigma_k
+        n = len(sigma) + 1
+        cand = tuple(sigma[:k]) + (n,) + tuple(sigma[k:])
+        top = pi.index(max(pi))
+        want = any(idxs[top] == k and naive_contains(
+                       [cand[i] for i in idxs], pi)
+                   for idxs in itertools.combinations(range(n), len(pi)))
+        assert ps._contains_through(cand, pi, k) == want
 
     def test_counts(self):
         for cls in ("W1", "W2", "W3"):
