@@ -246,11 +246,19 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """self ** n by repeated squaring.  Each product goes through `*`,
+        so an exponent outside its field raises OverflowError; a square is
+        taken only while bits of n remain, so it never exceeds the
+        result's own range."""
         if n < 0:
             raise ValueError("negative polynomial powers are not supported")
-        out = MultiPoly.one()
-        for _ in range(n):
-            out = out * self
+        out, base = MultiPoly.one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- substitution and evaluation ------------------------------------

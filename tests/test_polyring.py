@@ -55,8 +55,23 @@ def points(draw):
             "z": {i: draw(nonzero) for i in range(1, 5)}}
 
 
+#: The tests below evaluate exponents of absolute value at most 18 (a ** 3
+#: of a polys() term with q^6).  A ring fault that mis-decodes keys gives
+#: exponents in the millions, and raising a Fraction to those runs for
+#: minutes, so the tests refuse to evaluate anything beyond this bound.
+EVAL_BOUND = 100
+
+
+def small(p):
+    """p, once every exponent in p.terms() is asserted within EVAL_BOUND."""
+    for (x, y, q, z), _ in p.terms():
+        exps = (x, y, q, *(e for _, e in z))
+        assert max(map(abs, exps)) <= EVAL_BOUND, f"exponents {exps}"
+    return p
+
+
 def at(p, pt):
-    return p.evaluate(x=pt["x"], y=pt["y"], q=pt["q"], z=pt["z"])
+    return small(p).evaluate(x=pt["x"], y=pt["y"], q=pt["q"], z=pt["z"])
 
 
 #: The substitutions the library uses: the homomorphism test's mapping,
@@ -204,6 +219,23 @@ class TestExponentRange:
         with pytest.raises(OverflowError):
             (1 + T(1, x=2 ** 30)) ** 2
 
+    def test_large_power_takes_few_products(self, monkeypatch):
+        # repeated squaring: at most two products per bit of the exponent,
+        # so a power that overflows is refused at once, not after 2^31
+        # products
+        mul, calls = MultiPoly.__mul__, []
+
+        def counted(a, b):
+            calls.append(None)
+            assert len(calls) <= 64, "more than two products per bit"
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counted)
+        assert X ** (2 ** 30) == T(1, x=2 ** 30)
+        calls.clear()
+        with pytest.raises(OverflowError):
+            X ** (2 ** 31)
+
     def test_substitute_refused(self):
         half = 2 ** 30
         assert T(1, x=2).substitute({"x": T(1, x=half - 1)}) == T(
@@ -292,6 +324,14 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             MultiPoly.term(1, z=((1, -2),))
 
+    @given(polys(), st.integers(0, 8))
+    @settings(deadline=None)
+    def test_pow_is_repeated_product(self, a, k):
+        out = MultiPoly.one()
+        for _ in range(k):
+            out = out * a
+        assert a ** k == out
+
     @given(polys(), polys(), polys())
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
@@ -365,7 +405,7 @@ class TestEvaluate:
 
     def test_laurent_point(self):
         p = q_pow(-1) + Q
-        assert p.evaluate(q=2) == Fraction(5, 2)
+        assert small(p).evaluate(q=2) == Fraction(5, 2)
 
     def test_zero_poly(self):
         assert MultiPoly.zero().evaluate(x=7, y=-2, q=Fraction(1, 3)) == 0
