@@ -393,7 +393,7 @@ def _contains_through(sigma: Perm, pi: Perm, k: int) -> bool:
     def extend(s: int, start: int) -> bool:
         i, low, high = steps[s]
         if i < top:
-            # leave a position before k for each letter up to top
+            # leave a position before k for each letter between i and top
             stop = k - top + i + 1
         else:
             stop = n - m + i + 1
