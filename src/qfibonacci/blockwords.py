@@ -14,33 +14,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .polyring import MultiPoly
-from .permstats import Perm, perm_from_word
-
-
-def check_word(word: str) -> str:
-    w = word.upper()
-    if any(ch not in "SD" for ch in w):
-        raise ValueError(f"word must be over {{S, D}}, got {word!r}")
-    return w
-
-
-def word_length(word: str) -> int:
-    """l(w) = #S + 2 #D.
-
-    >>> word_length("DSDSS")
-    7
-    """
-    w = check_word(word)
-    return sum(1 if ch == "S" else 2 for ch in w)
+from .permstats import (Perm, check_size, check_word, perm_from_word,
+                        word_length)
 
 
 def iter_words(n: int) -> Iterator[str]:
     """All words of length n (F_n of them), S-branch first."""
-    if n == 0:
-        yield ""
-        return
-    if n == 1:
-        yield "S"
+    check_size(n)
+    if n < 2:
+        yield "S" * n                   # "" or "S"
         return
     for w in iter_words(n - 1):
         yield "S" + w

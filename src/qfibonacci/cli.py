@@ -50,18 +50,11 @@ def _size(text: str) -> int:
     return n
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="qfib",
-                     description="Pattern-restricted permutation classes, "
-                                 "their q-Fibonacci distributions, and the "
-                                 "identity verifier.")
+    parser = argparse.ArgumentParser(
+        prog="qfib",
+        description="Pattern-restricted permutation classes, their "
+                    "q-Fibonacci distributions, and the identity verifier.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_enum = sub.add_parser("enumerate", parents=[], help="list class members")
@@ -137,6 +130,7 @@ def _poly_payload(p: MultiPoly, fmt: str, **meta) -> str:
 
 def _family_poly(family: str, n: int, method: str) -> MultiPoly:
     if method == "closed-form":
+        qfib.lookup_family(family)     # an unknown name is reported first
         if family != "I":
             raise ValueError("closed form is available for family I only")
         return qfib.closed_form_I(n)
@@ -183,9 +177,6 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_qfib(args) -> int:
-    if args.family not in qfib.FAMILIES:
-        raise ValueError(f"unknown family {args.family!r}; choose from "
-                         f"{', '.join(qfib.FAMILIES)}")
     poly = _family_poly(args.family, args.n, args.method)
     print(_poly_payload(poly, args.format, family=args.family, n=args.n,
                         method=args.method))
@@ -210,9 +201,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.family not in qfib.FAMILIES:
-        raise ValueError(f"unknown family {args.family!r}; choose from "
-                         f"{', '.join(qfib.FAMILIES)}")
     if args.method == "oracle":
         qfib.check_oracle_bound(args.family, args.max_n)
     rows = []

@@ -14,7 +14,6 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from . import blockwords, permstats
-from .permstats import BoundExceeded
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -131,10 +130,7 @@ def partition_avoids_all(beta: SetPartition,
 
 def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     """All partitions of [n] via restricted growth strings."""
-    if n == 0:
-        yield ()
-        return
-
+    permstats.check_size(n)
     rgs = [0] * n
 
     def walk(i: int, nblocks: int) -> Iterator[SetPartition]:
@@ -151,14 +147,12 @@ def enumerate_partitions(n: int) -> Iterator[SetPartition]:
     yield from walk(0, 0)
 
 
-def enumerate_partitions_avoiding(n: int, patterns: Iterable[SetPartition],
-                                  bound: int = PARTITION_FILTER_BOUND,
-                                  ) -> list[SetPartition]:
-    """All partitions of [n] avoiding every pattern (Bell-number scan)."""
-    if n > bound:
-        raise BoundExceeded(
-            f"partition filter bound is {bound}, got n = {n}; "
-            "use enumerate_layered_matchings for the 13/2,123 class")
+def enumerate_partitions_avoiding(
+        n: int, patterns: Iterable[SetPartition]) -> list[SetPartition]:
+    """All partitions of [n] avoiding every pattern (Bell-number scan).
+    Sizes beyond PARTITION_FILTER_BOUND are refused: the 13/2,123 class
+    has enumerate_layered_matchings."""
+    permstats.check_size(n, PARTITION_FILTER_BOUND, "partition filter")
     pats = [standardize(a) for a in patterns]
     return [b for b in enumerate_partitions(n) if partition_avoids_all(b, pats)]
 

@@ -48,9 +48,13 @@ class BoundExceeded(ValueError):
     """An enumeration was requested beyond its configured safety bound."""
 
 
-def _check_size(n: int) -> None:
+def check_size(n: int, bound: int | None = None, what: str = "size") -> None:
+    """Refuse a negative size, and a size beyond the bound when one is
+    given; what names the bound in the message."""
     if n < 0:
         raise ValueError(f"size must be nonnegative, got n = {n}")
+    if bound is not None and n > bound:
+        raise BoundExceeded(f"{what} bound is {bound}, got n = {n}")
 
 
 def check_perm(seq: Iterable[int]) -> Perm:
@@ -143,21 +147,17 @@ def avoids_all(sigma: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     return not any(contains_pattern(sigma, pi) for pi in patterns)
 
 
-def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
-                       bound: int = FILTER_BOUND) -> list[Perm]:
+def enumerate_avoiders(n: int,
+                       patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """All permutations of [n] avoiding every pattern, by filtered search.
 
     The search extends prefixes and prunes any prefix already containing
     a pattern (containment is monotone under appending), so it touches
     only pattern-free prefixes; the result is in lexicographic order.
-    Sizes beyond the bound are refused: use the structural generators
+    Sizes beyond FILTER_BOUND are refused: use the structural generators
     (perm_from_word / west_class) for the classes that have them.
     """
-    _check_size(n)
-    if n > bound:
-        raise BoundExceeded(
-            f"filter enumeration bound is {bound}, got n = {n}; "
-            "use a structural generator for large n")
+    check_size(n, FILTER_BOUND, "filter enumeration")
     pats = [tuple(p) for p in patterns]
     out: list[Perm] = []
     prefix: list[int] = []
@@ -179,12 +179,10 @@ def enumerate_avoiders(n: int, patterns: Iterable[Sequence[int]],
     return out
 
 
-def enumerate_avoiders_scan(n: int, patterns: Iterable[Sequence[int]],
-                            bound: int = FILTER_BOUND) -> list[Perm]:
+def enumerate_avoiders_scan(n: int,
+                            patterns: Iterable[Sequence[int]]) -> list[Perm]:
     """Plain n!-scan filter; slower cross-check for enumerate_avoiders."""
-    _check_size(n)
-    if n > bound:
-        raise BoundExceeded(f"filter enumeration bound is {bound}, got n = {n}")
+    check_size(n, FILTER_BOUND, "filter enumeration")
     pats = [tuple(p) for p in patterns]
     return [p for p in itertools.permutations(range(1, n + 1))
             if avoids_all(p, pats)]
@@ -318,6 +316,23 @@ def layer_values(n: int, left: int, size: int, orientation: str) -> Perm:
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
+def check_word(word: str) -> str:
+    """The block word in upper case; refuses letters other than S and D."""
+    w = word.upper()
+    if any(ch not in "SD" for ch in w):
+        raise ValueError(f"word must be over {{S, D}}, got {word!r}")
+    return w
+
+
+def word_length(word: str) -> int:
+    """l(w) = #S + 2 #D.
+
+    >>> word_length("DSDSS")
+    7
+    """
+    return sum(1 if ch == "S" else 2 for ch in check_word(word))
+
+
 def perm_from_word(word: str, orientation: str) -> Perm:
     """The unique (reverse) layered matching with the given block word.
 
@@ -326,12 +341,10 @@ def perm_from_word(word: str, orientation: str) -> Perm:
     >>> perm_from_word("DSDSS", "layered")
     (2, 1, 3, 5, 4, 6, 7)
     """
-    w = word.upper()
-    if any(ch not in "SD" for ch in w):
-        raise ValueError(f"block word must be over {{S, D}}, got {word!r}")
+    w = check_word(word)
     if orientation not in ("reverse-layered", "layered"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    n = sum(1 if ch == "S" else 2 for ch in w)
+    n = word_length(w)
     out: list[int] = []
     for ch in w:
         out.extend(layer_values(n, len(out), 1 if ch == "S" else 2,
@@ -451,14 +464,14 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     (see the identity verifier); the pattern test is the trusted arbiter.
     """
     pats = _west_patterns(wclass)
-    sigma = tuple(sigma)
+    sigma = check_perm(sigma)
     if not avoids_all(sigma, pats):
         return []
     every_gap = (1 << len(sigma) + 1) - 1
     return [child for child, _ in _grow(sigma, every_gap, pats)]
 
 
-def west_class(n: int, wclass: str, bound: int = WEST_BOUND) -> list[Perm]:
+def west_class(n: int, wclass: str) -> list[Perm]:
     """Members of the West class at size n in lexicographic order, grown
     as a generating tree from the size-1 permutation; size 0 is the empty
     permutation.  The list is the caller's own copy.
@@ -468,9 +481,7 @@ def west_class(n: int, wclass: str, bound: int = WEST_BOUND) -> list[Perm]:
     only there, for occurrences through the new maximum.
     """
     pats = _west_patterns(wclass)
-    _check_size(n)
-    if n > bound:
-        raise BoundExceeded(f"West class bound is {bound}, got n = {n}")
+    check_size(n, WEST_BOUND, "West class")
     levels, sites = _west_cache.setdefault(wclass, ([[()], [(1,)]], [0b11]))
     while len(levels) <= n:
         grown = sorted(kid for sigma, s in zip(levels[-1], sites)

@@ -199,7 +199,9 @@ class MultiPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    __hash__ = None  # mutable-dict semantics internally; not hashable
+    # not hashable: == accepts ints, so a hash would have to agree with
+    # int hashes
+    __hash__ = None
 
     def __add__(self, other: object) -> "MultiPoly":
         other = _as_poly(other)

@@ -31,7 +31,6 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import blockwords, partitions, permstats
-from .permstats import BoundExceeded
 from .polyring import MultiPoly, q_pow
 
 #: Oracle size cap of the word-structured classes (the T4.5 suite touches
@@ -45,6 +44,7 @@ STRUCTURAL_BOUND = 26
 
 def fibonacci(n: int) -> int:
     """F_0 = F_1 = 1, F_n = F_{n-1} + F_{n-2}."""
+    permstats.check_size(n)
     a, b = 1, 1
     for _ in range(n):
         a, b = b, a + b
@@ -362,16 +362,19 @@ RECURSIVE_FAMILIES = tuple(f for f, fam in FAMILY.items() if fam.recursion)
 _oracle_cache: dict[tuple[str, int], MultiPoly] = {}
 
 
+def lookup_family(family: str) -> Family:
+    """The family's FAMILY entry; raises ValueError for an unknown name."""
+    try:
+        return FAMILY[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; choose from "
+                         f"{', '.join(FAMILIES)}") from None
+
+
 def check_oracle_bound(family: str, n: int) -> None:
     """Raise unless the family is known and 0 <= n <= its oracle bound."""
-    if family not in FAMILY:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if n < 0:
-        raise ValueError("family index must be nonnegative")
-    bound = FAMILY[family].bound
-    if n > bound:
-        raise BoundExceeded(f"oracle bound for family {family} is {bound}, "
-                            f"got n = {n}")
+    permstats.check_size(n, lookup_family(family).bound,
+                         f"family {family} oracle")
 
 
 def _brute_force(family: str, n: int) -> MultiPoly:
@@ -408,8 +411,8 @@ def qfib_recursive(family: str, n: int) -> MultiPoly:
     """The polynomial computed from the family's printed recursion (zero for
     n < 0).  Sizes 0..n are filled bottom-up, so every value the recursion
     reads is already cached and the call depth does not grow with n."""
-    fam = FAMILY.get(family)
-    if fam is None or fam.recursion is None:
+    fam = lookup_family(family)
+    if fam.recursion is None:
         raise ValueError(f"family {family!r} has no printed recursion")
     if n < 0:
         return MultiPoly.zero()
@@ -422,10 +425,8 @@ def qfib_recursive(family: str, n: int) -> MultiPoly:
 
 def closed_form_I(n: int) -> MultiPoly:
     """sum over 2k <= n of C(n-k, k) x^{n-2k} y^k q^{C(n,2)-k}."""
-    out = MultiPoly.zero()
-    for k in range(n // 2 + 1):
-        out = out + _t(comb(n - k, k), x=n - 2 * k, y=k, q=_c2(n) - k)
-    return out
+    return MultiPoly({(n - 2 * k, k, _c2(n) - k, ()): comb(n - k, k)
+                      for k in range(n // 2 + 1)})
 
 
 # -- identity catalog ---------------------------------------------------------
@@ -469,8 +470,8 @@ class IdentityReport:
             "notes": self.notes,
         }
 
-    def to_json_text(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=False)
+    def to_json_text(self) -> str:
+        return json.dumps(self.to_json(), indent=2)
 
 
 def _oracle_at(family: str, m: int) -> MultiPoly:

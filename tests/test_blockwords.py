@@ -31,6 +31,12 @@ class TestWords:
         with pytest.raises(ValueError):
             bw.word_length("SDX")
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError):
+            list(bw.iter_words(-1))
+        with pytest.raises(ValueError):
+            bw.enumerate_words(-1)
+
 
 class TestWeights:
     def test_paper_inv_weight(self):

@@ -83,8 +83,13 @@ class TestQfibVerb:
         assert "2^30" in err
         assert "Traceback" not in err
 
-    def test_unknown_family(self, capsys):
-        code, _, err = run(capsys, "qfib", "--family", "Z", "--n", "3")
+    @pytest.mark.parametrize("verb,size", [("qfib", "--n"),
+                                           ("table", "--max-n")],
+                             ids=["qfib", "table"])
+    @pytest.mark.parametrize("method", ["oracle", "recursion"])
+    def test_unknown_family(self, capsys, verb, size, method):
+        code, _, err = run(capsys, verb, "--family", "Z", size, "3",
+                           "--method", method)
         assert code == 2
         assert "unknown family" in err
 
@@ -217,7 +222,10 @@ class TestUsage:
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_bad_n(self, capsys):
-        assert run(capsys, "qfib", "--family", "I", "--n", "many")[0] == 2
+        code, _, err = run(capsys, "qfib", "--family", "I", "--n", "many")
+        assert code == 2
+        assert err.endswith(
+            "qfib qfib: error: argument --n: invalid int value: 'many'\n")
 
     @pytest.mark.parametrize("argv", [
         ("enumerate", "--class", "123,132,213", "--n", "-2"),

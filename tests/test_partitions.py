@@ -104,6 +104,14 @@ class TestEnumeration:
         with pytest.raises(ps.BoundExceeded):
             pt.enumerate_partitions_avoiding(10, CLASS_PATTERNS)
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError):
+            list(pt.enumerate_partitions(-1))
+        with pytest.raises(ValueError):
+            pt.enumerate_partitions_avoiding(-1, CLASS_PATTERNS)
+        with pytest.raises(ValueError):
+            pt.enumerate_layered_matchings(-1)
+
     def test_structural_generator(self):
         assert set(pt.enumerate_layered_matchings(2)) == {((1,), (2,)),
                                                           ((1, 2),)}

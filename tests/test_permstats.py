@@ -291,6 +291,8 @@ class TestWest:
             ps.west_class(3, "W9")
         with pytest.raises(ValueError):
             ps.west_children((1,), "W9")
+        with pytest.raises(ValueError):
+            ps.west_children((1, 1), "W1")
 
 
 class TestSerialization:

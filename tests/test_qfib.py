@@ -29,7 +29,7 @@ class TestOracle:
         assert qfib.qfib_oracle("D'", 3) == P("x^3*z1*z2 + 2*x*y*z3")
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown family"):
             qfib.qfib_oracle("Q", 3)
 
     def test_bound(self):
@@ -46,6 +46,8 @@ class TestOracle:
             for n in range(1, 8):
                 assert (qfib.qfib_oracle(fam, n).evaluate(q=1)
                         == qfib.fibonacci(2 * n - 2))
+        with pytest.raises(ValueError):
+            qfib.fibonacci(-1)
 
     def test_z_collapse_recovers_cycle_count(self):
         for n in range(9):
@@ -93,6 +95,8 @@ class TestRecursive:
     def test_no_recursion_for_rb(self):
         with pytest.raises(ValueError):
             qfib.qfib_recursive("RB", 3)
+        with pytest.raises(ValueError, match="unknown family"):
+            qfib.qfib_recursive("Z", 3)
 
     def test_zero_below_size_zero(self):
         assert qfib.qfib_recursive("W2", -1) == MultiPoly.zero()
