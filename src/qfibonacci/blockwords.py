@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .polyring import MultiPoly
 from .permstats import (Perm, check_size, check_word, perm_from_word,
-                        word_length)
+                        word_layers, word_length)
 
 
 def iter_words(n: int) -> Iterator[str]:
@@ -38,42 +38,28 @@ def enumerate_words(n: int) -> list[str]:
 # -- weights -----------------------------------------------------------------
 
 
+def _monomial(layers: list[tuple[int, int]], e: int) -> MultiPoly:
+    """x^#S y^#D q^e for a word's layers."""
+    d = sum(size == 2 for _, size in layers)
+    return MultiPoly.term(1, x=len(layers) - d, y=d, q=e)
+
+
 def weight_inv(word: str) -> MultiPoly:
     """Single monomial x^#S y^#D q^e where e is inv of the reverse layered
     matching with this block word: S contributes q^(length right of it),
     D contributes q^(2 * length right of it)."""
-    w = check_word(word)
-    total = word_length(w)
-    left = 0
-    s = d = e = 0
-    for ch in w:
-        size = 1 if ch == "S" else 2
-        right = total - left - size
-        if ch == "S":
-            s += 1
-            e += right
-        else:
-            d += 1
-            e += 2 * right
-        left += size
-    return MultiPoly.term(1, x=s, y=d, q=e)
+    layers = word_layers(word)
+    n = word_length(word)
+    return _monomial(layers,
+                     sum(size * (n - left - size) for left, size in layers))
 
 
 def weight_maj(word: str) -> MultiPoly:
     """Single monomial x^#S y^#D q^e where e is maj of the reverse layered
     matching: every letter contributes q^(length left of it) except that
     S at the very front contributes nothing."""
-    w = check_word(word)
-    left = 0
-    s = d = e = 0
-    for ch in w:
-        if ch == "S":
-            s += 1
-        else:
-            d += 1
-        e += left
-        left += 1 if ch == "S" else 2
-    return MultiPoly.term(1, x=s, y=d, q=e)
+    layers = word_layers(word)
+    return _monomial(layers, sum(left for left, _ in layers))
 
 
 def weight_rb(word: str) -> MultiPoly:
@@ -94,22 +80,13 @@ def morse_weight(word: str) -> int:
     >>> morse_weight("SSDDSD")
     16
     """
-    w = check_word(word)
-    left = 0
-    total = 0
-    for ch in w:
-        if ch == "D":
-            total += left + 1
-            left += 2
-        else:
-            left += 1
-    return total
+    return sum(left + 1 for left, size in word_layers(word) if size == 2)
 
 
 def morse_to_perm(word: str) -> Perm:
     """The layered matching whose block i is a singleton iff letter i is a
     dot; satisfies morse_weight(w) = maj(morse_to_perm(w))."""
-    return perm_from_word(check_word(word), "layered")
+    return perm_from_word(word, "layered")
 
 
 def morse_text(word: str) -> str:

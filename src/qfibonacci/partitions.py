@@ -166,28 +166,18 @@ def layer_block(left: int, size: int) -> tuple[int, ...]:
 def partition_from_word(word: str) -> SetPartition:
     """Layered matching partition of a block word: letters consume
     consecutive integers left to right ('DSSDD' -> 12/3/4/56/78)."""
-    w = blockwords.check_word(word)
-    blocks: list[tuple[int, ...]] = []
-    left = 0
-    for ch in w:
-        size = 1 if ch == "S" else 2
-        blocks.append(layer_block(left, size))
-        left += size
-    return tuple(blocks)
+    return tuple(layer_block(left, size)
+                 for left, size in permstats.word_layers(word))
 
 
 def word_of_partition(alpha: SetPartition) -> str:
-    """Block word of a layered matching partition; rejects anything whose
-    blocks are not consecutive intervals of size <= 2."""
-    lo = 1
-    letters = []
-    for b in alpha:
-        size = len(b)
-        if size > 2 or b != tuple(range(lo, lo + size)):
-            raise ValueError(f"{alpha} is not a layered matching partition")
-        letters.append("S" if size == 1 else "D")
-        lo += size
-    return "".join(letters)
+    """Block word of a layered matching partition, read off the block
+    sizes; rejects anything partition_from_word does not build back from
+    that word."""
+    word = "".join("S" if len(b) == 1 else "D" for b in alpha)
+    if partition_from_word(word) != tuple(alpha):
+        raise ValueError(f"{alpha} is not a layered matching partition")
+    return word
 
 
 def enumerate_layered_matchings(n: int) -> list[SetPartition]:

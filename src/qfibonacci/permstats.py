@@ -245,31 +245,26 @@ def cycle_decomposition(p: Sequence[int]) -> CycleDecomposition:
 # -- layered structure ------------------------------------------------------
 
 
-def _layered_sizes(p: Sequence[int]) -> tuple[int, ...] | None:
-    """Layer sizes of a layered permutation (descending runs of consecutive
-    values, increasing across layers), or None if p is not layered."""
-    sizes = []
-    i, low = 0, 1
-    n = len(p)
-    while i < n:
-        j = i
-        while j + 1 < n and p[j + 1] == p[j] - 1:
-            j += 1
-        if p[j] != low:
-            return None
-        sizes.append(j - i + 1)
-        low = p[i] + 1
-        i = j + 1
-    return tuple(sizes)
+def _layered_word(p: Sequence[int]) -> str | None:
+    """Block word of p if p is a layered matching, else None.  A layer
+    starts wherever the previous one ends, and it is a doubleton exactly
+    when it starts with a descent; the word read off this way is kept only
+    if perm_from_word builds p back from it."""
+    letters = []
+    i = 0
+    while i < len(p):
+        size = 2 if i + 1 < len(p) and p[i] > p[i + 1] else 1
+        letters.append("S" if size == 1 else "D")
+        i += size
+    word = "".join(letters)
+    return word if perm_from_word(word, "layered") == tuple(p) else None
 
 
 def layered_classify(p: Sequence[int]) -> str:
     """One of 'layered-matching', 'reverse-layered-matching', 'both',
     'neither' per the size-<=-2 layer definitions."""
-    lay = _layered_sizes(p)
-    rev = _layered_sizes(reversal(p))
-    is_lm = lay is not None and all(s <= 2 for s in lay)
-    is_rlm = rev is not None and all(s <= 2 for s in rev)
+    is_lm = _layered_word(p) is not None
+    is_rlm = _layered_word(reversal(p)) is not None
     if is_lm and is_rlm:
         return "both"
     if is_lm:
@@ -281,7 +276,8 @@ def layered_classify(p: Sequence[int]) -> str:
 
 def block_structure(p: Sequence[int], orientation: str | None = None) -> str:
     """Block word of a (reverse) layered matching: letter k is S iff layer
-    k is a singleton, else D.
+    k is a singleton, else D.  A reverse layered matching is the reversal
+    of the layered matching with the reversed word.
 
     orientation is 'reverse-layered', 'layered', or None to prefer the
     reverse-layered reading when both apply.
@@ -289,14 +285,14 @@ def block_structure(p: Sequence[int], orientation: str | None = None) -> str:
     if orientation not in (None, "reverse-layered", "layered"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if orientation in (None, "reverse-layered"):
-        rev = _layered_sizes(reversal(p))
-        if rev is not None and all(s <= 2 for s in rev):
-            return "".join("S" if s == 1 else "D" for s in reversed(rev))
+        word = _layered_word(reversal(p))
+        if word is not None:
+            return word[::-1]
         if orientation == "reverse-layered":
             raise ValueError(f"{p} is not a reverse layered matching")
-    lay = _layered_sizes(p)
-    if lay is not None and all(s <= 2 for s in lay):
-        return "".join("S" if s == 1 else "D" for s in lay)
+    word = _layered_word(p)
+    if word is not None:
+        return word
     raise ValueError(f"{p} is not a (reverse) layered matching")
 
 
@@ -324,13 +320,26 @@ def check_word(word: str) -> str:
     return w
 
 
+def word_layers(word: str) -> list[tuple[int, int]]:
+    """(left, size) for each letter of a block word: letter k is a layer
+    of size 1 (S) or 2 (D), placed after the left elements of the layers
+    before it.
+
+    >>> word_layers("DSD")
+    [(0, 2), (2, 1), (3, 2)]
+    """
+    sizes = [1 if ch == "S" else 2 for ch in check_word(word)]
+    return list(zip(itertools.accumulate(sizes, initial=0), sizes))
+
+
 def word_length(word: str) -> int:
     """l(w) = #S + 2 #D.
 
     >>> word_length("DSDSS")
     7
     """
-    return sum(1 if ch == "S" else 2 for ch in check_word(word))
+    w = check_word(word)
+    return len(w) + w.count("D")
 
 
 def perm_from_word(word: str, orientation: str) -> Perm:
@@ -341,15 +350,12 @@ def perm_from_word(word: str, orientation: str) -> Perm:
     >>> perm_from_word("DSDSS", "layered")
     (2, 1, 3, 5, 4, 6, 7)
     """
-    w = check_word(word)
+    layers = word_layers(word)
     if orientation not in ("reverse-layered", "layered"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    n = word_length(w)
-    out: list[int] = []
-    for ch in w:
-        out.extend(layer_values(n, len(out), 1 if ch == "S" else 2,
-                                orientation))
-    return tuple(out)
+    n = word_length(word)
+    return tuple(v for left, size in layers
+                 for v in layer_values(n, left, size, orientation))
 
 
 # -- West's gap-insertion classes -------------------------------------------

@@ -723,8 +723,8 @@ def verify_identity(ident: str, max_n: int | None = None,
     counterexample, carrying both polynomials of the as-printed reading.
     """
     if ident not in _CATALOG_BY_ID:
-        raise KeyError(f"unknown identity {ident!r}; valid ids: "
-                       f"{', '.join(IDENTITY_IDS)}")
+        raise ValueError(f"unknown identity {ident!r}; valid ids: "
+                         f"{', '.join(IDENTITY_IDS)}")
     defn = _CATALOG_BY_ID[ident]
     report = IdentityReport(
         ident=ident,

@@ -128,6 +128,11 @@ class TestEnumeration:
         for n in range(10):
             for w in iter_words(n):
                 assert pt.word_of_partition(pt.partition_from_word(w)) == w
+        # no word builds these back; an empty block is not a doubleton
+        for alpha in [((),), ((), ()), ((1,), ()), ((1, 2, 3),),
+                      ((1, 3), (2,)), ((2,), (1,))]:
+            with pytest.raises(ValueError, match="not a layered matching"):
+                pt.word_of_partition(alpha)
 
 
 class TestRb:

@@ -160,10 +160,24 @@ class TestLayered:
         with pytest.raises(ValueError):
             ps.block_structure((3, 2, 1, 5, 4, 9, 8, 7, 6))
 
+    def test_classify_matches_pattern_definitions(self):
+        for n in range(8):
+            for p in itertools.permutations(range(1, n + 1)):
+                is_lm = ps.avoids_all(p, FIB_LAYERED)
+                is_rlm = ps.avoids_all(p, FIB_REVERSE)
+                expected = {(True, True): "both",
+                            (True, False): "layered-matching",
+                            (False, True): "reverse-layered-matching",
+                            (False, False): "neither"}[is_lm, is_rlm]
+                assert ps.layered_classify(p) == expected
+
     def test_perm_from_word_examples(self):
         assert ps.perm_from_word("DSDSS", "reverse-layered") == (6, 7, 5, 3, 4, 2, 1)
         assert ps.perm_from_word("DSDSS", "layered") == (2, 1, 3, 5, 4, 6, 7)
         assert ps.perm_from_word("", "layered") == ()
+        # the word is checked before the orientation
+        with pytest.raises(ValueError, match=r"word must be over \{S, D\}"):
+            ps.perm_from_word("SDX", "bogus")
         # inv of the layered image is C(7,2) - 19 = 2
         assert ps.inv((2, 1, 3, 5, 4, 6, 7)) == 2
 

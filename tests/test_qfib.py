@@ -144,8 +144,9 @@ class TestCatalog:
 
 class TestVerifier:
     def test_unknown_id(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError) as info:
             qfib.verify_identity("T4.2")
+        assert str(info.value).startswith("unknown identity 'T4.2'")
 
     def test_t43a_holds_everywhere(self):
         report = qfib.verify_identity("T4.3a", max_n=10)
