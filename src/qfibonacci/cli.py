@@ -197,12 +197,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.method == "oracle":
-        qfib.check_oracle_bound(args.family, args.max_n)
-    rows = []
-    for n in range(args.max_n + 1):
-        poly = _family_poly(args.family, n, args.method)
-        rows.append((n, poly))
+    # largest first: the bound is checked before any row, and one oracle
+    # walk to --max-n serves the smaller sizes
+    rows = [(n, _family_poly(args.family, n, args.method))
+            for n in range(args.max_n, -1, -1)][::-1]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -34,11 +34,12 @@ from . import blockwords, partitions, permstats
 from .polyring import MultiPoly, q_pow
 
 #: Oracle size cap of the word-structured classes (the T4.5 suite touches
-#: index 25).  Their walks visit all F_n words: at 26, F_26 = 196,418 words
-#: take 0.3-0.9 s per family, and 1.5-2 s for D and D', which decompose every
-#: built permutation into cycles (2 vCPUs, CPython 3.11).  No benchmark
-#: workload measures a larger size, so the cap stays.  The West classes take
-#: permstats.WEST_BOUND: gap insertion is output-linear but denser.
+#: index 25).  Their walks visit every word: one walk to 26 passes 514,228
+#: nodes in 0.4-0.6 s, and a D or D' walk at 26 its 196,418 members in
+#: 0.3 s, at O(1) per layer either way (2 vCPUs, CPython 3.11).  No
+#: benchmark workload measures a larger size, so the cap stays.  The West
+#: classes take permstats.WEST_BOUND: gap insertion is output-linear but
+#: denser.
 STRUCTURAL_BOUND = 26
 
 
@@ -165,9 +166,11 @@ class Family(NamedTuple):
     the defining class at size n; weight(object) is its (q exponent, z
     exponents).  recursion is the printed right-hand side (None when there
     is none) and bases holds the values at the sizes it does not cover.
-    walk(n), for the word families, is the polynomial at size n from one
-    depth-first pass over the S/D word tree (see _walked); the oracle uses
-    it in place of the objects/weight loop, which stays the reference.
+    walk(n), for the word families, maps sizes to polynomials from one
+    depth-first pass over the S/D word tree to size n: every size 0..n for
+    the order-invariant families (_walked), n alone for D and D'
+    (_cycle_walk).  The oracle uses it in place of the objects/weight loop,
+    which stays the reference.
     Class generators and statistics are looked up on their modules at call
     time, so wrappers installed after import see every call.
     """
@@ -177,7 +180,7 @@ class Family(NamedTuple):
     recursion: Rhs | None
     bases: Mapping[int, MultiPoly]
     bound: int = STRUCTURAL_BOUND
-    walk: Callable[[int], MultiPoly] | None = None
+    walk: Callable[[int], dict[int, MultiPoly]] | None = None
 
     def printed(self, n: int, get: Get, rhs: Rhs | None = None) -> MultiPoly:
         """The printed value at size n: a base, else rhs (by default the
@@ -235,22 +238,32 @@ def _rb(alpha):
     return partitions.rb(alpha), ()
 
 
-# -- the word walk -------------------------------------------------------------
+# -- the word walks ------------------------------------------------------------
 #
 # A member of a word family is a word over {S, D}, read layer by layer.  The
-# walk appends layers depth first, writes each layer's actual values into one
-# buffer, and updates the statistic from those values.  The placed values of
-# every prefix form an interval (the classes are layered), so the update is
-# O(1) per layer: a step(buf, left, size, low) sees the new layer in
+# walks append layers depth first and update the statistic from the actual
+# values each layer places, at O(1) per layer.
+#
+# _walked serves the families whose steps read values only by comparing them
+# (I, I', M, M', RB, C).  The first m values a walk to size n places are order
+# isomorphic to the size-m member with the same letters: reverse-layered
+# layers take the highest values left, and layered and partition layers do
+# not depend on n.  So each node at depth m is a size-m member, and one walk
+# to n tallies every size 0..n.  The placed values of every prefix form an
+# interval, so a step(buf, left, size, low) sees the new layer in
 # buf[left:left + size] after the placed values low..low + left - 1.
+#
+# _cycle_walk serves D and D', whose cycles read actual values, one size per
+# walk.  It keeps the partial map i -> p_i as open paths (_paths) and marks a
+# cycle when an edge closes one.
 
 
-def _walked(values, step=None, weight=None):
-    """The walk of a word family.  values(n, left, size) is the layer of
-    that size after left placed elements.  The statistic at a leaf is the
-    sum of the steps along its word, or weight(buf) of the built object
-    when step is None."""
-    def walk(n: int) -> MultiPoly:
+def _walked(values, step):
+    """The walk of an order-invariant word family.  values(n, left, size) is
+    the layer of that size after left placed elements, and the statistic of
+    a member is the sum of the steps along its word.  walk(n) maps every
+    size 0..n to its polynomial."""
+    def walk(n: int) -> dict[int, MultiPoly]:
         layers: list[list[tuple]] = [[] for _ in range(n + 1)]
         for left in range(n + 1):
             for size in (1, 2):
@@ -261,20 +274,113 @@ def _walked(values, step=None, weight=None):
         tally: dict[tuple, int] = {}
 
         def grow(left: int, d: int, q: int, low: int) -> None:
-            if left == n:
-                key = (d, q, ()) if weight is None else (d, *weight(buf))
-                tally[key] = tally.get(key, 0) + 1
-                return
+            key = (left, d, q)
+            tally[key] = tally.get(key, 0) + 1
             for size, vals, least in layers[left]:
                 buf[left:left + size] = vals
-                grow(left + size, d + size - 1,
-                     q + step(buf, left, size, low) if step else q,
+                grow(left + size, d + size - 1, q + step(buf, left, size, low),
                      least if least < low else low)
 
         grow(0, 0, 0, n + 1)
-        return MultiPoly({(n - 2 * d, d, q, z): c
-                          for (d, q, z), c in tally.items()})
+        terms: list[dict] = [{} for _ in range(n + 1)]
+        for (m, d, q), c in tally.items():
+            terms[m][m - 2 * d, d, q, ()] = c
+        return dict(enumerate(map(MultiPoly, terms)))
     return walk
+
+
+def _paths(n: int):
+    """link and unlink over the partial map i -> p_i on [n], kept as open
+    paths: head[t] starts the path that ends at t, tail[h] ends the path
+    that starts at h, and count[h] is its number of vertices.  Every vertex
+    starts as a path of its own.
+
+    link(i, v) adds the edge i -> v, where i ends a path and v starts one.
+    It closes a cycle exactly when v starts the path that ends at i, and
+    then returns the cycle's length; otherwise it joins the two paths and
+    returns 0, and unlink(i, v) undoes the join.
+
+    >>> link, unlink = _paths(3)
+    >>> link(1, 2), link(2, 3)     # the path 1 -> 2 -> 3
+    (0, 0)
+    >>> link(3, 1)                 # closes the 3-cycle (1 2 3)
+    3
+    """
+    head, tail, count = list(range(n + 1)), list(range(n + 1)), [1] * (n + 1)
+
+    def link(i: int, v: int) -> int:
+        h = head[i]
+        if h == v:
+            return count[v]
+        t = tail[v]
+        tail[h], head[t] = t, h
+        count[h] += count[v]
+        return 0
+
+    def unlink(i: int, v: int) -> None:
+        h, t = head[i], tail[v]
+        tail[h], head[t] = i, v
+        count[h] -= count[v]
+
+    return link, unlink
+
+
+def _cycle_walk(marks):
+    """The walk of a cycle family over the reverse layered matchings of one
+    size.  marks(n) is (unit, decode): a closed cycle of length L adds
+    unit[L] to the member's mark (unit[0] = 0), and decode(mark) is its (q
+    exponent, z exponents).  walk(n) maps n to its polynomial."""
+    def walk(n: int) -> dict[int, MultiPoly]:
+        unit, decode = marks(n)
+        link, unlink = _paths(n)
+        # the edge i -> v of each layer, and j -> w of a doubleton (else 0, 0)
+        layers: list[list[tuple]] = [[] for _ in range(n + 1)]
+        for left in range(n + 1):
+            for size in (1, 2):
+                if left + size <= n:
+                    edges = [*enumerate(_REVERSE(n, left, size), left + 1),
+                             (0, 0)]
+                    layers[left].append((*edges[0], *edges[1]))
+        tally: dict[tuple, int] = {}
+
+        def grow(left: int, d: int, c: int) -> None:
+            if left == n:
+                tally[d, c] = tally.get((d, c), 0) + 1
+                return
+            for i, v, j, w in layers[left]:
+                a = link(i, v)
+                if j:
+                    b = link(j, w)
+                    grow(j, d + 1, c + unit[a] + unit[b])
+                    if not b:
+                        unlink(j, w)
+                else:
+                    grow(i, d, c + unit[a])
+                if not a:
+                    unlink(i, v)
+
+        grow(0, 0, 0)
+        return {n: MultiPoly({(n - 2 * d, d, *decode(c)): k
+                              for (d, c), k in tally.items()})}
+    return walk
+
+
+def _count_marks(n: int):
+    """D: every cycle adds 1 to the q exponent."""
+    return [0] + [1] * n, lambda c: (c, ())
+
+
+def _type_marks(n: int):
+    """D': one field of n.bit_length() bits per cycle length, the count of
+    cycles of that length (at most n)."""
+    width = n.bit_length()
+    mask = (1 << width) - 1
+
+    def decode(c: int):
+        return 0, tuple((length, c >> width * length & mask)
+                        for length in range(1, n + 1)
+                        if c >> width * length & mask)
+    return [0] + [1 << width * length for length in range(1, n + 1)], decode
 
 
 def _perm_layers(orientation: str):
@@ -340,11 +446,10 @@ FAMILY: dict[str, Family] = {
     "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X},
                 walk=_walked(_LAYERED, _morse_step)),
     "D": Family(_words("reverse-layered"), _cycles, _rec_D("D"),
-                {0: _ONE, 1: _t(1, x=1, q=1)},
-                walk=_walked(_REVERSE, weight=_cycles)),
+                {0: _ONE, 1: _t(1, x=1, q=1)}, walk=_cycle_walk(_count_marks)),
     "D'": Family(_words("reverse-layered"), _cycle_type, _rec_D("D'"),
                  {0: _ONE, 1: _t(1, x=1, z=((1, 1),))},
-                 walk=_walked(_REVERSE, weight=_cycle_type)),
+                 walk=_cycle_walk(_type_marks)),
     "W1": Family(_west("W1"), _inv, _rec_W1(),
                  {0: _ONE, 1: _ONE, 2: _ONE + q_pow(1)}, permstats.WEST_BOUND),
     "W2": Family(_west("W2"), _inv, _rec_W2(), {0: _ONE, 1: _ONE},
@@ -398,7 +503,11 @@ def qfib_oracle(family: str, n: int) -> MultiPoly:
     key = (family, n)
     if key not in _oracle_cache:
         walk = FAMILY[family].walk
-        _oracle_cache[key] = walk(n) if walk else _brute_force(family, n)
+        if walk is None:
+            _oracle_cache[key] = _brute_force(family, n)
+        else:
+            for m, poly in walk(n).items():
+                _oracle_cache.setdefault((family, m), poly)
     return _oracle_cache[key]
 
 
@@ -713,6 +822,17 @@ def _instances(defn: IdentityDef, max_n: int | None,
     return [(n,) for n in range(defn.start, hi + 1)]
 
 
+def _adjudicate(defn: IdentityDef, indices: tuple[int, ...]):
+    """The first reading under which the instance holds, or None and the
+    sides that every reading built when all of them fail."""
+    sides = {}
+    for reading in defn.readings:
+        lhs, rhs = sides[reading.name] = reading.build(*indices)
+        if lhs == rhs:
+            return reading.name, None
+    return None, sides
+
+
 def verify_identity(ident: str, max_n: int | None = None,
                     max_m: int | None = None) -> IdentityReport:
     """Check every cataloged reading of an identity on its index range.
@@ -732,18 +852,15 @@ def verify_identity(ident: str, max_n: int | None = None,
                        "max": defn.default_max if max_n is None else max_n},
         notes=defn.notes,
     )
-    for indices in _instances(defn, max_n, max_m):
-        verdict, used = "fails", None
-        sides = {}
-        for reading in defn.readings:
-            lhs, rhs = sides[reading.name] = reading.build(*indices)
-            if lhs == rhs:
-                verdict, used = "holds", reading.name
-                break
+    instances = _instances(defn, max_n, max_m)
+    # largest first, so that one oracle walk serves every smaller instance
+    adjudged = [_adjudicate(defn, indices) for indices in reversed(instances)]
+    for indices, (used, sides) in zip(instances, reversed(adjudged)):
         inst = {"indices": dict(zip(defn.arity, indices)),
-                "verdict": verdict, "reading": used}
+                "verdict": "fails" if used is None else "holds",
+                "reading": used}
         report.instances.append(inst)
-        if verdict == "fails" and report.counterexample is None:
+        if used is None and report.counterexample is None:
             lhs, rhs = sides[defn.readings[0].name]
             report.counterexample = {
                 "indices": dict(zip(defn.arity, indices)),

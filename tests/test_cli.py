@@ -173,6 +173,22 @@ class TestVerifyVerb:
         code, _, _ = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("ident, max_n, size", [
+        ("T4.1", 30, 30), ("T2.1", 30, 30), ("T4.5", 13, 27)])
+    def test_bound_names_the_largest_instance(self, capsys, monkeypatch,
+                                              ident, max_n, size):
+        # instances are built largest first, so the bound refuses the
+        # largest one before any walk runs
+        walked = []
+        fam = qfib.FAMILY["I"]
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        monkeypatch.setitem(qfib.FAMILY, "I", fam._replace(
+            walk=lambda n: walked.append(n) or fam.walk(n)))
+        code, out, err = run(capsys, "verify", "--identity", ident,
+                             "--max-n", str(max_n))
+        assert (code, out, walked) == (3, "", [])
+        assert err == f"qfib: family I oracle bound is 26, got n = {size}\n"
+
     def test_all_honours_max_m(self, capsys):
         _, out, _ = run(capsys, "verify", "--all", "--max-n", "5",
                         "--max-m", "1")
@@ -204,6 +220,16 @@ class TestTableVerb:
         code, out, _ = run(capsys, "table", "--family", "C", "--max-n", "2")
         assert code == 0
         assert out.splitlines()[2] == "2\ty*q + x^2"
+
+    def test_oracle_rows_from_one_walk(self, capsys, monkeypatch):
+        walked = []
+        fam = qfib.FAMILY["M"]
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        monkeypatch.setitem(qfib.FAMILY, "M", fam._replace(
+            walk=lambda n: walked.append(n) or fam.walk(n)))
+        code, out, _ = run(capsys, "table", "--family", "M", "--max-n", "12")
+        assert (code, walked) == (0, [12])
+        assert out.splitlines()[3] == "3\tx^3*q^3 + x*y*q^2 + x*y*q"
 
     def test_oracle_bound_checked_before_any_row(self, capsys):
         # the bound is checked before any row, so no West level is built

@@ -1,6 +1,8 @@
 """q-Fibonacci families: oracles vs recursions vs closed form, evaluation
 counts, and the identity verifier's adjudication behavior."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 
 
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
+ONE_WALK_FAMILIES = ("I", "I'", "M", "M'", "RB", "C")
 
 
 def P(text):
@@ -60,12 +63,40 @@ class TestWalk:
         assert {f for f, fam in qfib.FAMILY.items() if fam.walk} == set(
             WORD_FAMILIES)
 
-    def test_walk_equals_brute_force(self):
-        # the oracle's walk against the object-by-object reference
-        for fam in WORD_FAMILIES:
+    def test_one_walk_serves_every_size(self):
+        # the order-invariant families tally every depth of one walk
+        for fam in ONE_WALK_FAMILIES:
+            polys = qfib.FAMILY[fam].walk(16)
+            assert list(polys) == list(range(17)), fam
+            for n in range(17):
+                assert polys[n] == qfib._brute_force(fam, n), (fam, n)
+
+    def test_cycle_walks_equal_brute_force(self):
+        # the path-joining walks of D and D', one size each
+        for fam in ("D", "D'"):
             walk = qfib.FAMILY[fam].walk
             for n in range(17):
-                assert walk(n) == qfib._brute_force(fam, n), (fam, n)
+                assert walk(n) == {n: qfib._brute_force(fam, n)}, (fam, n)
+
+    def test_oracle_walks_once_for_every_smaller_size(self, monkeypatch):
+        walked = []
+        fam = qfib.FAMILY["I"]
+
+        def counted(n):
+            walked.append(fam.walk(n))
+            return walked[-1]
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        monkeypatch.setitem(qfib.FAMILY, "I", fam._replace(walk=counted))
+        qfib.qfib_oracle("I", 5)
+        top = qfib.qfib_oracle("I", 12)
+        assert [sorted(w) for w in walked] == [list(range(6)),
+                                               list(range(13))]
+        assert top is walked[1][12]
+        # sizes 0..11 are cache hits, and the entries of the first walk
+        # are kept
+        for n in range(12):
+            assert qfib.qfib_oracle("I", n) is walked[n > 5][n]
+        assert len(walked) == 2
 
 
 class TestRecursive:
@@ -194,6 +225,35 @@ class TestVerifier:
             assert report.holds
             late = [i for i in report.instances if i["indices"]["n"] >= 5]
             assert late and all(i["reading"] == derived for i in late)
+
+    def test_largest_instance_first_reported_ascending(self, monkeypatch):
+        built = []
+
+        def build(n):
+            built.append(n)
+            return MultiPoly.one(), MultiPoly.one() if n % 2 == 0 else X
+        defn = qfib.IdentityDef("T", "toy", ("n",), 2, 7,
+                                (qfib.Reading("as-printed", build),))
+        monkeypatch.setitem(qfib._CATALOG_BY_ID, "T", defn)
+        report = qfib.verify_identity("T")
+        assert built == [7, 6, 5, 4, 3, 2]
+        assert [i["indices"]["n"] for i in report.instances] == list(
+            range(2, 8))
+        assert [i["verdict"] for i in report.instances] == [
+            "holds", "fails"] * 3
+        assert report.counterexample["indices"] == {"n": 3}
+        assert report.counterexample["rhs"] == "x"
+
+    @pytest.mark.parametrize("ident, digest", [
+        ("T5.3", "35b44090cf966a3b451099a3d1abc46a"
+                 "68bde9668c715f20340d8cb656788ea0"),
+        ("T5.4", "2f5a5c4bd659ba1a9595d137fc53e542"
+                 "7acc79a1d3d49618b7a39dcff70f550e")])
+    def test_cycle_reports_unchanged(self, ident, digest):
+        # the SHA-256 of the default-range reports built ascending with the
+        # cycle oracles decomposing every permutation
+        text = qfib.verify_identity(ident).to_json_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_deterministic_reports(self):
         a = qfib.verify_identity("T6.2", max_n=7).to_json_text()
