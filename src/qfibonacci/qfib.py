@@ -271,21 +271,20 @@ def _walked(values, step):
                     vals = values(n, left, size)
                     layers[left].append((size, vals, min(vals)))
         buf = [0] * n
-        tally: dict[tuple, int] = {}
+        tallies: list[dict[tuple, int]] = [{} for _ in range(n + 1)]
 
         def grow(left: int, d: int, q: int, low: int) -> None:
-            key = (left, d, q)
-            tally[key] = tally.get(key, 0) + 1
+            tally = tallies[left]
+            tally[d, q] = tally.get((d, q), 0) + 1
             for size, vals, least in layers[left]:
                 buf[left:left + size] = vals
                 grow(left + size, d + size - 1, q + step(buf, left, size, low),
                      least if least < low else low)
 
         grow(0, 0, 0, n + 1)
-        terms: list[dict] = [{} for _ in range(n + 1)]
-        for (m, d, q), c in tally.items():
-            terms[m][m - 2 * d, d, q, ()] = c
-        return dict(enumerate(map(MultiPoly, terms)))
+        return {m: MultiPoly({(m - 2 * d, d, q, ()): c
+                              for (d, q), c in tally.items()})
+                for m, tally in enumerate(tallies)}
     return walk
 
 
@@ -846,29 +845,33 @@ def verify_identity(ident: str, max_n: int | None = None,
         raise ValueError(f"unknown identity {ident!r}; valid ids: "
                          f"{', '.join(IDENTITY_IDS)}")
     defn = _CATALOG_BY_ID[ident]
+    instances = _instances(defn, max_n, max_m)
+    # largest first, so that one oracle walk serves every smaller instance;
+    # the last failure met is then the smallest
+    used_by, failure = {}, None
+    for indices in reversed(instances):
+        used_by[indices], sides = _adjudicate(defn, indices)
+        if sides:
+            failure = indices, sides
     report = IdentityReport(
         ident=ident,
         range_checked={"arity": list(defn.arity), "start": defn.start,
                        "max": defn.default_max if max_n is None else max_n},
+        instances=[{"indices": dict(zip(defn.arity, indices)),
+                    "verdict": "holds" if used_by[indices] else "fails",
+                    "reading": used_by[indices]} for indices in instances],
         notes=defn.notes,
     )
-    instances = _instances(defn, max_n, max_m)
-    # largest first, so that one oracle walk serves every smaller instance
-    adjudged = [_adjudicate(defn, indices) for indices in reversed(instances)]
-    for indices, (used, sides) in zip(instances, reversed(adjudged)):
-        inst = {"indices": dict(zip(defn.arity, indices)),
-                "verdict": "fails" if used is None else "holds",
-                "reading": used}
-        report.instances.append(inst)
-        if used is None and report.counterexample is None:
-            lhs, rhs = sides[defn.readings[0].name]
-            report.counterexample = {
-                "indices": dict(zip(defn.arity, indices)),
-                "lhs": lhs.canonical_text(),
-                "rhs": rhs.canonical_text(),
-                "rhs_by_reading": {name: r.canonical_text()
-                                   for name, (_, r) in sides.items()},
-            }
+    if failure:
+        indices, sides = failure
+        lhs, rhs = sides[defn.readings[0].name]
+        report.counterexample = {
+            "indices": dict(zip(defn.arity, indices)),
+            "lhs": lhs.canonical_text(),
+            "rhs": rhs.canonical_text(),
+            "rhs_by_reading": {name: r.canonical_text()
+                               for name, (_, r) in sides.items()},
+        }
     return report
 
 
