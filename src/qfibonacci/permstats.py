@@ -494,4 +494,5 @@ def west_class(n: int, wclass: str) -> list[Perm]:
                        for kid in _grow(sigma, s, pats))
         levels.append([child for child, _ in grown])
         sites[:] = [s for _, s in grown]
+        del grown   # so that growing many levels peaks as high as one
     return list(levels[n])

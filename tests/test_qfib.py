@@ -71,8 +71,9 @@ class TestWalk:
             for n in range(17):
                 assert polys[n] == qfib._brute_force(fam, n), (fam, n)
 
-    def test_cycle_walks_equal_brute_force(self):
-        # the path-joining walks of D and D', one size each
+    def test_walk_equals_brute_force(self):
+        # the path-joining walks of D and D', one size each; the other word
+        # families are held to it by test_one_walk_serves_every_size
         for fam in ("D", "D'"):
             walk = qfib.FAMILY[fam].walk
             for n in range(17):
