@@ -140,6 +140,17 @@ class TestDistributionVerb:
         assert code == 2
 
 
+def count_walks(monkeypatch, family):
+    """Empty the oracle cache, and list the sizes the family's walk is
+    then called with."""
+    walked = []
+    fam = qfib.FAMILY[family]
+    monkeypatch.setattr(qfib, "_oracle_cache", {})
+    monkeypatch.setitem(qfib.FAMILY, family, fam._replace(
+        walk=lambda n: walked.append(n) or fam.walk(n)))
+    return walked
+
+
 class TestVerifyVerb:
     def test_valid_identity_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify", "--identity", "T4.3a",
@@ -179,11 +190,7 @@ class TestVerifyVerb:
                                               ident, max_n, size):
         # instances are built largest first, so the bound refuses the
         # largest one before any walk runs
-        walked = []
-        fam = qfib.FAMILY["I"]
-        monkeypatch.setattr(qfib, "_oracle_cache", {})
-        monkeypatch.setitem(qfib.FAMILY, "I", fam._replace(
-            walk=lambda n: walked.append(n) or fam.walk(n)))
+        walked = count_walks(monkeypatch, "I")
         code, out, err = run(capsys, "verify", "--identity", ident,
                              "--max-n", str(max_n))
         assert (code, out, walked) == (3, "", [])
@@ -222,11 +229,7 @@ class TestTableVerb:
         assert out.splitlines()[2] == "2\ty*q + x^2"
 
     def test_oracle_rows_from_one_walk(self, capsys, monkeypatch):
-        walked = []
-        fam = qfib.FAMILY["M"]
-        monkeypatch.setattr(qfib, "_oracle_cache", {})
-        monkeypatch.setitem(qfib.FAMILY, "M", fam._replace(
-            walk=lambda n: walked.append(n) or fam.walk(n)))
+        walked = count_walks(monkeypatch, "M")
         code, out, _ = run(capsys, "table", "--family", "M", "--max-n", "12")
         assert (code, walked) == (0, [12])
         assert out.splitlines()[3] == "3\tx^3*q^3 + x*y*q^2 + x*y*q"
