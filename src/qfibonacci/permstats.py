@@ -436,9 +436,10 @@ def _contains_through(sigma: Perm, pi: Perm, k: int) -> bool:
 
 
 def _grow(sigma: Perm, sites: int,
-          pats: tuple[Perm, ...]) -> list[tuple[Perm, int]]:
+          pats: tuple[Perm, ...]) -> list[tuple[int, Perm, int]]:
     """The children of sigma, which avoids pats, inserted at the gaps in
-    sites, each with its own sites.
+    sites: for each, the gap k that took the new maximum, the child and its
+    own sites.
 
     The new maximum is the only new letter, so a child contains a pattern
     only through it.  A child's sites are the images of sigma's legal gaps:
@@ -455,7 +456,8 @@ def _grow(sigma: Perm, sites: int,
                 legal |= 1 << k
     # gaps below k keep their index, gaps from k on move up by one, and
     # gap k itself becomes both sides of the new maximum
-    return [(cand, legal & ((1 << k) - 1) | (legal >> k) << (k + 1) | 1 << k)
+    return [(k, cand,
+             legal & ((1 << k) - 1) | (legal >> k) << (k + 1) | 1 << k)
             for k, cand in kids]
 
 
@@ -474,13 +476,13 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     if not avoids_all(sigma, pats):
         return []
     every_gap = (1 << len(sigma) + 1) - 1
-    return [child for child, _ in _grow(sigma, every_gap, pats)]
+    return [child for _, child, _ in _grow(sigma, every_gap, pats)]
 
 
 def west_class(n: int, wclass: str) -> list[Perm]:
     """Members of the West class at size n in lexicographic order, grown
-    as a generating tree from the size-1 permutation; size 0 is the empty
-    permutation.  The list is the caller's own copy.
+    as a generating tree from the empty permutation, whose one gap takes
+    the 1.  The list is the caller's own copy.
 
     Each member of the last level carries its sites, the images of its
     parent's legal gaps (see west_children), and its children are tested
@@ -488,10 +490,11 @@ def west_class(n: int, wclass: str) -> list[Perm]:
     """
     pats = _west_patterns(wclass)
     check_size(n, WEST_BOUND, "West class")
-    levels, sites = _west_cache.setdefault(wclass, ([[()], [(1,)]], [0b11]))
+    levels, sites = _west_cache.setdefault(wclass, ([[()]], [0b1]))
     while len(levels) <= n:
-        grown = sorted(kid for sigma, s in zip(levels[-1], sites)
-                       for kid in _grow(sigma, s, pats))
+        grown = sorted((child, kid_sites)
+                       for sigma, s in zip(levels[-1], sites)
+                       for _, child, kid_sites in _grow(sigma, s, pats))
         levels.append([child for child, _ in grown])
         sites[:] = [s for _, s in grown]
         del grown   # so that growing many levels peaks as high as one

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfibonacci import qfib
+from qfibonacci import permstats, qfib
 from qfibonacci.cli import main
 from qfibonacci.polyring import q_pow
 
@@ -234,8 +234,24 @@ class TestTableVerb:
         assert (code, walked) == (0, [12])
         assert out.splitlines()[3] == "3\tx^3*q^3 + x*y*q^2 + x*y*q"
 
+    def test_west_rows_from_one_walk_without_levels(self, capsys,
+                                                    monkeypatch):
+        # the oracle walks the generating tree once and keeps no level;
+        # the enumerate verb still grows and caches them
+        walked = count_walks(monkeypatch, "W1")
+        monkeypatch.setattr(permstats, "_west_cache", {})
+        code, out, _ = run(capsys, "table", "--family", "W1", "--max-n", "10")
+        assert (code, walked, permstats._west_cache) == (0, [10], {})
+        assert out.splitlines()[3] == "3\tq^3 + 2*q^2 + 2*q"
+        code, out, _ = run(capsys, "enumerate", "--class", "W1", "--n", "5")
+        assert code == 0
+        assert out.split() == [permstats.perm_to_text(p) for p in
+                               permstats.enumerate_avoiders(
+                                   5, permstats.WEST_PATTERNS["W1"])]
+        assert list(permstats._west_cache) == ["W1"]
+
     def test_oracle_bound_checked_before_any_row(self, capsys):
-        # the bound is checked before any row, so no West level is built
+        # the bound is checked before any row, so no walk runs
         code, out, err = run(capsys, "table", "--family", "W1",
                              "--max-n", "13")
         assert code == 3

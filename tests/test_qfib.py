@@ -14,6 +14,7 @@ from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
 ONE_WALK_FAMILIES = ("I", "I'", "M", "M'", "RB", "C")
+WEST_FAMILIES = ("W1", "W2", "W3")
 
 
 def P(text):
@@ -59,9 +60,9 @@ class TestOracle:
 
 
 class TestWalk:
-    def test_word_families_walk_west_families_enumerate(self):
-        assert {f for f, fam in qfib.FAMILY.items() if fam.walk} == set(
-            WORD_FAMILIES)
+    def test_every_family_walks(self):
+        assert all(callable(fam.walk) for fam in qfib.FAMILY.values())
+        assert set(qfib.FAMILY) == {*WORD_FAMILIES, *WEST_FAMILIES}
 
     def test_one_walk_serves_every_size(self):
         # the order-invariant families tally every depth of one walk
@@ -70,6 +71,17 @@ class TestWalk:
             assert list(polys) == list(range(17)), fam
             for n in range(17):
                 assert polys[n] == qfib._brute_force(fam, n), (fam, n)
+
+    def test_west_walk_serves_every_size(self):
+        # one walk down the generating tree tallies every depth; the class
+        # sizes F_{2m-2} also catch a fault shared with west_class
+        for fam in WEST_FAMILIES:
+            polys = qfib.FAMILY[fam].walk(11)
+            assert list(polys) == list(range(12)), fam
+            for m in range(12):
+                assert polys[m] == qfib._brute_force(fam, m), (fam, m)
+                assert polys[m].evaluate(q=1) == (
+                    qfib.fibonacci(2 * m - 2) if m else 1), (fam, m)
 
     def test_walk_equals_brute_force(self):
         # the path-joining walks of D and D', one size each; the other word
