@@ -32,12 +32,12 @@ A monomial product is one int addition, ka + kb - 2^30.  Two fields below
 range sets the guard bit of its field (a q sum below -2^30 borrows, which
 sets bit 31 of field 0).  The range is checked where keys are packed (the
 constructor and ``substitute``, which raise ``OverflowError`` naming the
-field limit) and on every product, by testing the guard bits of the OR of
-its keys; ``**`` multiplies through ``*``.  A key decodes to the tuple
-(e + 2^30, a, b, f1, ..., fk), at least three fields long and without
-trailing zero z fields, which compared descending is the canonical term
-order.  Ring operations build term dicts themselves and wrap them
-unvalidated.  A polynomial maps keys to nonzero coefficients; the zero
+field limit) and in ``sum_of_products``, through which ``*`` and ``**``
+multiply, by testing the guard bits of the OR of every product key.  A key
+decodes to the tuple (e + 2^30, a, b, f1, ..., fk), at least three fields
+long and without trailing zero z fields, which compared descending is the
+canonical term order.  Ring operations build term dicts themselves and wrap
+them unvalidated.  A polynomial maps keys to nonzero coefficients; the zero
 polynomial is the empty mapping.  All values are immutable: every
 operation returns a new polynomial.
 """
@@ -49,6 +49,7 @@ import struct
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import compress, count
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
@@ -230,22 +231,34 @@ class MultiPoly:
         return other + (-self)
 
     def __mul__(self, other: object) -> "MultiPoly":
-        other = _as_poly(other)
-        if other is None:
+        if _as_poly(other) is None:
             return NotImplemented
+        return MultiPoly.sum_of_products(((self, other),))
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple]) -> "MultiPoly":
+        """The sum of a * b over the pairs (a, b), each product term added
+        straight into one term dict, the smaller factor in the outer loop.
+        The guard bits are tested on the OR of every product key, zero
+        coefficients included, so a product exponent outside its field
+        raises OverflowError even when its term cancels in the sum."""
         out: dict[int, int] = {}
-        for ka, ca in self._terms.items():
-            ka -= _BIAS
-            for kb, cb in other._terms.items():
-                k = ka + kb
-                out[k] = out.get(k, 0) + ca * cb
+        for a, b in pairs:
+            ta, tb = _as_poly(a)._terms, _as_poly(b)._terms
+            if len(ta) > len(tb):
+                ta, tb = tb, ta
+            for ka, ca in ta.items():
+                ka -= _BIAS
+                for kb, cb in tb.items():
+                    k = ka + kb
+                    out[k] = out.get(k, 0) + ca * cb
         guards = reduce(or_, out, 0)
         if guards & _guard_mask(guards.bit_length()):
             raise OverflowError("a product exponent is outside its field: "
                                 + _RANGE)
         return _wrap(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         """self ** n by repeated squaring.  Each product goes through `*`,
@@ -350,17 +363,30 @@ class MultiPoly:
         """Deterministic rendering: terms sorted by qexp descending, then
         xexp, yexp and z exponents descending; unit exponents and unit
         coefficients elided; negative q exponents written q^-k.  With
-        latex, exponents are braced and products are spaces.
+        latex, exponents are braced and products are spaces.  A call builds
+        each factor string, separator first, once per exponent or z vector.
         """
         if not self._terms:
             return "0"
+        sep, power = (" ", "^{{{}}}") if latex else ("*", "^{}")
+
+        def factors(name: str) -> _Texts:
+            return _Texts((sep + name + power).format, {0: "", 1: sep + name})
+
+        xs, ys, qs = factors("x"), factors("y"), factors("q")
+        zname = ("z_{{{}}}" if latex else "z{}").format
+        zf = _Texts(lambda i_f: sep + zname(i_f[0]) + (
+            "" if i_f[1] == 1 else power.format(i_f[1]))).__getitem__
+        zs = _Texts(lambda z: "".join(
+            map(zf, zip(compress(count(1), z), filter(None, z)))))
         out = []
-        for idx, (fields, coeff) in enumerate(self._ordered()):
-            body = _term_text(coeff, fields, latex)
-            if idx == 0:
-                out.append(body if coeff > 0 else "-" + body)
-            else:
-                out.append((" + " if coeff > 0 else " - ") + body)
+        for fields, coeff in self._ordered():
+            body = (xs[fields[1]] + ys[fields[2]] + qs[fields[0] - _BIAS]
+                    + zs[fields[3:]])
+            c = abs(coeff)
+            out.append(" + " if coeff > 0 else " - ")
+            out.append(body[1:] if c == 1 and body else str(c) + body)
+        out[0] = "" if out[0] == " + " else "-"
         return "".join(out)
 
     def __repr__(self) -> str:
@@ -456,28 +482,16 @@ def _as_poly(v: object) -> MultiPoly | None:
     return None
 
 
-def _term_text(coeff: int, fields: tuple[int, ...], latex: bool = False) -> str:
-    e, a, b, *z = fields
-    e -= _BIAS
-    pieces = []
-    if a:
-        pieces.append("x" if a == 1 else (f"x^{{{a}}}" if latex else f"x^{a}"))
-    if b:
-        pieces.append("y" if b == 1 else (f"y^{{{b}}}" if latex else f"y^{b}"))
-    if e:
-        pieces.append("q" if e == 1 else (f"q^{{{e}}}" if latex else f"q^{e}"))
-    for i, f in enumerate(z, 1):
-        if not f:
-            continue
-        base = f"z_{{{i}}}" if latex else f"z{i}"
-        pieces.append(base if f == 1 else
-                      (f"{base}^{{{f}}}" if latex else f"{base}^{f}"))
-    c = abs(coeff)
-    if not pieces:
-        return str(c)
-    if c != 1:
-        pieces.insert(0, str(c))
-    return (" ".join(pieces)) if latex else ("*".join(pieces))
+class _Texts(dict):
+    """Strings by key, each built by render on its first lookup."""
+
+    def __init__(self, render, seed=()):
+        super().__init__(seed)
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
 # Convenience variable constants.

@@ -82,17 +82,19 @@ Rhs = Callable[[int, Get], MultiPoly]
 
 
 def _rec_I(n: int, get: Get) -> MultiPoly:
-    return (_t(1, x=1, q=n - 1) * get("I", n - 1)
-            + _t(1, y=1, q=2 * (n - 2)) * get("I", n - 2))
+    return MultiPoly.sum_of_products(((_t(1, x=1, q=n - 1), get("I", n - 1)),
+                                      (_t(1, y=1, q=2 * (n - 2)),
+                                       get("I", n - 2))))
 
 
 def _rec_M(n: int, get: Get) -> MultiPoly:
-    return (_t(1, x=1, q=n - 1) * get("M", n - 1)
-            + _t(1, y=1, q=n - 2) * get("M", n - 2))
+    return MultiPoly.sum_of_products(((_t(1, x=1, q=n - 1), get("M", n - 1)),
+                                      (_t(1, y=1, q=n - 2), get("M", n - 2))))
 
 
 def _rec_C(n: int, get: Get) -> MultiPoly:
-    return _t(1, x=1) * get("C", n - 1) + _t(1, y=1, q=n - 1) * get("C", n - 2)
+    return MultiPoly.sum_of_products(((_t(1, x=1), get("C", n - 1)),
+                                      (_t(1, y=1, q=n - 1), get("C", n - 2))))
 
 
 def _reversal_of(family: str):
@@ -112,13 +114,13 @@ def _rec_D(family: str, dd_exp: int = 2, shift: int = 0):
 
     def rhs(n: int, get: Get) -> MultiPoly:
         m = n - 2
-        out = _t(1, x=2, **mark(2, 1)) * get(family, m)
-        out = out + ((_t(1, y=2, **mark(2, dd_exp))
-                      + _t(2, x=2, y=1, **mark(4, 1))) * get(family, m - 2))
-        for k in range(3, m // 2 + 1):
-            out = out + (_t(2, x=2, y=k - 1, **mark(2 * k, 1))
-                         * get(family, m - 2 * k + shift))
-        return out
+        return MultiPoly.sum_of_products(
+            [(_t(1, x=2, **mark(2, 1)), get(family, m)),
+             (_t(1, y=2, **mark(2, dd_exp)) + _t(2, x=2, y=1, **mark(4, 1)),
+              get(family, m - 2)),
+             *((_t(2, x=2, y=k - 1, **mark(2 * k, 1)),
+                get(family, m - 2 * k + shift))
+               for k in range(3, m // 2 + 1))])
     return rhs
 
 
@@ -127,11 +129,10 @@ def _rec_W1(sign: int = 1):
     the C(k,2) term of the exponent."""
     def rhs(n: int, get: Get) -> MultiPoly:
         m = n - 1
-        out = q_pow(m - 1) * get("W1", m)
-        for k in range(2, m + 1):
-            out = out + (q_pow((m - 1) * (k - 1) + sign * _c2(k))
-                         * get("W1", m - k + 1))
-        return out
+        return MultiPoly.sum_of_products(
+            [(q_pow(m - 1), get("W1", m)),
+             *((q_pow((m - 1) * (k - 1) + sign * _c2(k)), get("W1", m - k + 1))
+               for k in range(2, m + 1))])
     return rhs
 
 
@@ -139,10 +140,10 @@ def _rec_W2(lo: int = 1, hi_off: int = -1, tail_off: int = 1):
     """Gap insertion for S_n(132,3241): the sum runs over lo <= k <
     n + hi_off with a tail of size n - k - tail_off."""
     def rhs(n: int, get: Get) -> MultiPoly:
-        out = (q_pow(n - 1) + 1) * get("W2", n - 1)
-        for k in range(lo, n + hi_off):
-            out = out + q_pow(k * (n - k)) * get("W2", n - k - tail_off)
-        return out
+        return MultiPoly.sum_of_products(
+            [(q_pow(n - 1) + 1, get("W2", n - 1)),
+             *((q_pow(k * (n - k)), get("W2", n - k - tail_off))
+               for k in range(lo, n + hi_off))])
     return rhs
 
 
@@ -150,10 +151,10 @@ def _rec_W3(first_family: str = "W2", lo: int = 1, hi_off: int = -1):
     """Gap insertion for S_n(132,3412): the first term reads first_family
     and the sum runs over lo <= k < n + hi_off."""
     def rhs(n: int, get: Get) -> MultiPoly:
-        out = (q_pow(n - 1) + 1) * get(first_family, n - 1)
-        for k in range(lo, n + hi_off):
-            out = out + q_pow(k * (n - k) + _c2(n - k)) * get("W3", k - 1)
-        return out
+        return MultiPoly.sum_of_products(
+            [(q_pow(n - 1) + 1, get(first_family, n - 1)),
+             *((q_pow(k * (n - k) + _c2(n - k)), get("W3", k - 1))
+               for k in range(lo, n + hi_off))])
     return rhs
 
 

@@ -1,8 +1,11 @@
 """Command line behaviors: output formats, exit codes, validation."""
 
+import hashlib
+import importlib.util
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestQfibVerb:
@@ -257,6 +271,19 @@ class TestTableVerb:
         assert code == 3
         assert out == ""
         assert "bound" in err
+
+    def test_recursion_workload_output_is_recorded(self):
+        # every `recursion` invocation of the benchmark prints the bytes whose
+        # digest perfbench/expected.json records, so rendering stays byte-exact
+        workloads = _workloads()
+        expected = json.loads((PERFBENCH / "expected.json").read_text())
+        for argv in workloads.WORKLOADS["recursion"]:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(list(argv))
+            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            want = expected["recursion"][workloads.key(argv)]
+            assert (code, digest) == (want["exit"], want["sha256"]), argv
 
 
 class TestUsage:

@@ -341,6 +341,57 @@ class TestArithmetic:
         assert a * (b + c) == a * b + a * c
 
 
+def reference_sum_of_products(pairs):
+    """The sum of a * b by nested loops over exchange keys."""
+    def terms(v):
+        return v.terms() if isinstance(v, MultiPoly) else [((0, 0, 0, ()), v)]
+
+    out = {}
+    for a, b in pairs:
+        for (xa, ya, qa, za), ca in terms(a):
+            for (xb, yb, qb, zb), cb in terms(b):
+                z = dict(za)
+                for i, e in zb:
+                    z[i] = z.get(i, 0) + e
+                key = (xa + xb, ya + yb, qa + qb, tuple(sorted(z.items())))
+                out[key] = out.get(key, 0) + ca * cb
+    return MultiPoly(out)
+
+
+factors = st.one_of(polys(), st.integers(-5, 5))
+
+
+class TestSumOfProducts:
+    @given(st.lists(st.tuples(factors, factors), max_size=6))
+    @settings(max_examples=150)
+    def test_matches_nested_loops(self, pairs):
+        assert MultiPoly.sum_of_products(pairs) == reference_sum_of_products(
+            pairs)
+
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [(2, 3)],
+        [(X, 2), (-3, Y)],
+        [(X, Y), (-X, Y)],
+        [(T(1, x=1, q=-2), X + Y + T(2, q=2, z=((3, 1),)))],
+        [(X + Y, X - Y), (Y, Y + 1), (T(1, x=1, q=1, z=((2, 2),)), X + Q)],
+    ])
+    def test_cases(self, pairs):
+        # empty list, int operands, products that cancel to zero, one-term
+        # and multi-term factors
+        assert MultiPoly.sum_of_products(pairs) == reference_sum_of_products(
+            pairs)
+
+    def test_cancelled_overflow_refused(self):
+        # x^(2^31) is outside its field; its two products cancel in the sum,
+        # and the sum is still refused
+        big = T(1, x=2 ** 30)
+        with pytest.raises(OverflowError):
+            MultiPoly.sum_of_products([(big, big), (-big, big)])
+        with pytest.raises(OverflowError):
+            MultiPoly.sum_of_products([(X, Y), (big, big), (big, -big)])
+
+
 class TestSubstitute:
     def test_q_inverse(self):
         p = T(1, q=2) + Q
@@ -444,6 +495,22 @@ class TestText:
     def test_z_rendering(self):
         p = T(1, x=3, z=((1, 1), (2, 1))) + T(2, x=1, y=1, z=((3, 1),))
         assert p.canonical_text() == "x^3*z1*z2 + 2*x*y*z3"
+
+    @pytest.mark.parametrize("p, text, latex", [
+        (T(1, z=((1, 1), (2, 1))), "z1*z2", "z_{1} z_{2}"),
+        (T(-1, z=((5, 1),)), "-z5", "-z_{5}"),
+        (T(1, z=((2, 6),)), "z2^6", "z_{2}^{6}"),
+        (T(4, q=-1, z=((1, 1),)), "4*q^-1*z1", "4 q^{-1} z_{1}"),
+        (T(7, y=1, z=((3, 2),)) - 1, "7*y*z3^2 - 1", "7 y z_{3}^{2} - 1"),
+        (T(-3, x=2) + T(5), "-3*x^2 + 5", "-3 x^{2} + 5"),
+        (T(1, q=-3) + T(2, x=1, q=-1), "2*x*q^-1 + q^-3",
+         "2 x q^{-1} + q^{-3}"),
+    ])
+    def test_pinned_renderings(self, p, text, latex):
+        # z-only and z-bearing terms, a negative first term, a constant
+        # with a coefficient and negative q exponents, in both formats
+        assert (p.canonical_text(), p.canonical_text(latex=True)) == (
+            text, latex)
 
     @given(polys())
     def test_parse_roundtrip(self, p):

@@ -136,6 +136,17 @@ class TestRecursive:
         for n in range(2, 7):
             assert qfib.qfib_recursive("D", n) != qfib.qfib_oracle("D", n)
 
+    def test_d_prime_renders_canonically(self):
+        p = qfib.qfib_recursive("D'", 12)
+        assert p.canonical_text().startswith(
+            "x^12*z2^6 + 10*x^10*y*z2^4*z4 + 5*x^8*y^2*z2^6 + ")
+        assert p.canonical_text(latex=True).startswith(
+            "x^{12} z_{2}^{6} + 10 x^{10} y z_{2}^{4} z_{4} + "
+            "5 x^{8} y^{2} z_{2}^{6} + ")
+        for n in range(31):
+            p = qfib.qfib_recursive("D'", n)
+            assert MultiPoly.parse(p.canonical_text()) == p
+
     def test_no_recursion_for_rb(self):
         with pytest.raises(ValueError):
             qfib.qfib_recursive("RB", 3)
