@@ -32,8 +32,9 @@ Perm = tuple[int, ...]
 FILTER_BOUND = 9
 
 #: Largest size generated for the West classes.  Size n has F_{2n-2}
-#: members; growing it costs about one max-anchored pattern test per carried
-#: site of each member of size n - 1 (see west_class).
+#: members; growing it costs one pattern test with both largest values
+#: pinned per carried site of each member of size n - 1, and at most one
+#: pattern of W1-W3 backtracks at each site (see _grow).
 WEST_BOUND = 12
 
 #: West's three doubly-restricted classes, counted by even-index Fibonacci.
@@ -374,50 +375,67 @@ def _west_patterns(wclass: str) -> tuple[Perm, ...]:
 
 
 @lru_cache(maxsize=64)
-def _site_plan(pi: Perm) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """pi compiled for _contains_through: the index top of its largest
-    letter, and for every other index i in order the step (i, low, high).
-    low is the earlier index whose letter is nearest below pi[i] (-1 when
-    there is none); high is the index nearest above among the earlier ones
-    and top, which always qualifies.
+def _site_plan(pi: Perm) -> tuple[int, int,
+                                   tuple[tuple[int, int, int, int], ...]]:
+    """pi compiled for _contains_through: the indices top and second of its
+    largest and second-largest letters (equal for one letter), and for
+    every other index i in order the step (i, low, high, seg).  low is the
+    earlier such index whose letter is nearest below pi[i] (-1 when there
+    is none); high is the one nearest above among them and second, which
+    always qualifies.  seg counts the pinned indices before i.
 
-    While the letters chosen so far are order isomorphic to pi's prefix, a
-    value v fits as letter i exactly when it lies strictly between the
-    values chosen for low and high."""
+    While the letters chosen so far are order isomorphic to pi's part at
+    their indices, a value v fits as letter i exactly when it lies strictly
+    between the values chosen for low and high."""
     top = pi.index(max(pi))
+    rest = [t for t in range(len(pi)) if t != top]
+    second = max(rest, key=pi.__getitem__, default=top)
     steps = []
-    for i in range(len(pi)):
-        if i != top:
-            below = [t for t in range(i) if pi[t] < pi[i]]
-            above = [t for t in range(i) if pi[t] > pi[i]] + [top]
+    for i in rest:
+        if i != second:
+            earlier = [t for t in rest if t < i and t != second]
+            below = [t for t in earlier if pi[t] < pi[i]]
+            above = [t for t in earlier if pi[t] > pi[i]] + [second]
             steps.append((i, max(below, key=pi.__getitem__, default=-1),
-                          min(above, key=pi.__getitem__)))
-    return top, tuple(steps)
+                          min(above, key=pi.__getitem__),
+                          (i > top) + (i > second)))
+    return top, second, tuple(steps)
 
 
-def _contains_through(sigma: Perm, pi: Perm, k: int) -> bool:
+def _contains_through(sigma: Perm, pi: Perm, k: int, k2: int) -> bool:
     """True iff some occurrence of pi in sigma puts pi's largest letter at
-    position k (0-based), where sigma[k] is sigma's largest value:
-    contains_pattern's backtrack with the step for that letter pinned and
-    each letter's fit reduced to one comparison (see _site_plan)."""
-    top, steps = _site_plan(pi)
+    position k and its second-largest letter, if it has one, at k2
+    (0-based), where sigma[k] and sigma[k2] are sigma's largest and
+    second-largest values: False at once when pi orders those two letters
+    the other way, else contains_pattern's backtrack over the other
+    letters, each letter's fit reduced to one comparison (see _site_plan)."""
+    top, second, steps = _site_plan(pi)
+    if top == second:
+        return True
+    if (top < second) != (k < k2):
+        return False
     if not steps:
         return True
     m, n = len(pi), len(sigma)
     last = len(steps) - 1
-    # chosen[-1] is the 0 below every value; sigma[k] is above every other
+    # letter i of segment seg lies in floors[seg] .. stops[seg] + i - 1,
+    # which leaves room for the letters up to the next pin or the end
+    if k < k2:
+        p1, p2, first, then = top, second, k, k2
+    else:
+        p1, p2, first, then = second, top, k2, k
+    floors = (0, first + 1, then + 1)
+    stops = (first - p1 + 1, then - p2 + 1, n - m + 1)
+    # chosen[-1] is the 0 below every value; the pinned values are above
+    # every other one
     chosen = [0] * (m + 1)
-    chosen[top] = sigma[k]
+    chosen[top], chosen[second] = sigma[k], sigma[k2]
 
     def extend(s: int, start: int) -> bool:
-        i, low, high = steps[s]
-        if i < top:
-            # leave a position before k for each letter between i and top
-            stop = k - top + i + 1
-        else:
-            stop = n - m + i + 1
-            if start <= k:
-                start = k + 1
+        i, low, high, seg = steps[s]
+        if start < floors[seg]:
+            start = floors[seg]
+        stop = stops[seg] + i
         lo, hi = chosen[low], chosen[high]
         if s == last:
             for v in sigma[start:stop]:
@@ -437,21 +455,35 @@ def _contains_through(sigma: Perm, pi: Perm, k: int) -> bool:
 
 def _grow(sigma: Perm, sites: int,
           pats: tuple[Perm, ...]) -> list[tuple[int, Perm, int]]:
-    """The children of sigma, which avoids pats, inserted at the gaps in
-    sites: for each, the gap k that took the new maximum, the child and its
-    own sites.
+    """The children of sigma, a node of the generating tree grown from the
+    root () with its sites carried, inserted at the gaps in sites: for
+    each, the gap k that took the new maximum, the child and its own sites.
 
-    The new maximum is the only new letter, so a child contains a pattern
-    only through it.  A child's sites are the images of sigma's legal gaps:
-    an illegal gap stays illegal in every child, because deleting the
-    child's maximum turns an insertion there back into the illegal one."""
+    A child's sites are the images of sigma's legal gaps: an illegal gap
+    stays illegal in every child, because deleting the child's maximum
+    turns an insertion there back into the illegal one.  The same argument
+    pins both largest values.  sigma avoids pats, so an occurrence in a
+    child uses the new maximum n; and below the root every site of sigma is
+    the image of a legal gap of sigma's parent, so the occurrence also uses
+    the old maximum n - 1, or deleting n - 1 would leave it in a legal
+    child of the parent.  n and n - 1 therefore play pi's largest and
+    second-largest letters.  The root has no old maximum, and its one
+    child is tested whole."""
     n = len(sigma) + 1
+    if n == 1:
+        return ([(0, (1,), 0b11)] if sites & 1 and avoids_all((1,), pats)
+                else [])
+    old = sigma.index(n - 1)
     kids = []
     legal = 0
     for k in range(n):
         if sites >> k & 1:
             cand = sigma[:k] + (n,) + sigma[k:]
-            if not any(_contains_through(cand, pi, k) for pi in pats):
+            k2 = old + (k <= old)
+            for pi in pats:
+                if _contains_through(cand, pi, k, k2):
+                    break
+            else:
                 kids.append((k, cand))
                 legal |= 1 << k
     # gaps below k keep their index, gaps from k on move up by one, and
@@ -466,17 +498,19 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     value into one of its gaps, in gap order.
 
     Containing a pattern is hereditary: if sigma contains one, so does
-    every child, and the answer is empty.  Otherwise a child can contain a
-    pattern only through the inserted maximum, so each gap is tested for
-    occurrences that use it.  The printed gap rules drop legal insertions
-    (see the identity verifier); the pattern test is the trusted arbiter.
+    every child, and the answer is empty.  Otherwise each child is tested
+    whole: sigma is arbitrary, so no gap is known to be legal for a parent,
+    and the pins of _grow do not apply.  The printed gap rules drop legal
+    insertions (see the identity verifier); the pattern test is the trusted
+    arbiter.
     """
     pats = _west_patterns(wclass)
     sigma = check_perm(sigma)
     if not avoids_all(sigma, pats):
         return []
-    every_gap = (1 << len(sigma) + 1) - 1
-    return [child for _, child, _ in _grow(sigma, every_gap, pats)]
+    n = len(sigma) + 1
+    gaps = (sigma[:k] + (n,) + sigma[k:] for k in range(n))
+    return [child for child in gaps if avoids_all(child, pats)]
 
 
 def west_class(n: int, wclass: str) -> list[Perm]:
@@ -485,8 +519,8 @@ def west_class(n: int, wclass: str) -> list[Perm]:
     the 1.  The list is the caller's own copy.
 
     Each member of the last level carries its sites, the images of its
-    parent's legal gaps (see west_children), and its children are tested
-    only there, for occurrences through the new maximum.
+    parent's legal gaps, and its children are tested only there, for
+    occurrences through the new and the old maximum (see _grow).
     """
     pats = _west_patterns(wclass)
     check_size(n, WEST_BOUND, "West class")

@@ -39,8 +39,8 @@ from .polyring import MultiPoly, q_pow
 #: 0.3 s, at O(1) per layer either way (2 vCPUs, CPython 3.11).  No
 #: benchmark workload measures a larger size, so the cap stays.  The West
 #: classes take permstats.WEST_BOUND: their walk tests every carried site
-#: of every member for a pattern through the new maximum, and the class
-#: sizes F_{2n-2} grow about 2.6x per step.
+#: of every member for a pattern through the new and the old maximum, and
+#: the class sizes F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
 

@@ -83,6 +83,21 @@ class TestWalk:
                 assert polys[m].evaluate(q=1) == (
                     qfib.fibonacci(2 * m - 2) if m else 1), (fam, m)
 
+    def test_west_walk_equals_filter(self):
+        # a reference that shares nothing with the walk: _brute_force reads
+        # west_class, which grows its children with the walk's own _grow
+        for fam in WEST_FAMILIES:
+            pats = permstats.WEST_PATTERNS[fam]
+            polys = qfib.FAMILY[fam].walk(7)
+            for n in range(8):
+                tally = {}
+                for p in permstats.enumerate_avoiders(n, pats):
+                    q = permstats.inv(p)
+                    tally[q] = tally.get(q, 0) + 1
+                want = sum((c * q_pow(q) for q, c in tally.items()),
+                           MultiPoly.zero())
+                assert polys[n] == want, (fam, n)
+
     def test_walk_equals_brute_force(self):
         # the path-joining walks of D and D', one size each; the other word
         # families are held to it by test_one_walk_serves_every_size
