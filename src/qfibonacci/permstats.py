@@ -24,7 +24,7 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -361,12 +361,6 @@ def perm_from_word(word: str, orientation: str) -> Perm:
 
 # -- West's gap-insertion classes -------------------------------------------
 
-#: Per class: the levels grown so far, and for each member of the last level
-#: its sites, a bitmask of the gaps where inserting the next maximum is not
-#: yet ruled out (bit k: in front of position k; bit n: at the end).
-_west_cache: dict[str, tuple[list[list[Perm]], list[int]]] = {}
-
-
 def _west_patterns(wclass: str) -> tuple[Perm, ...]:
     try:
         return WEST_PATTERNS[wclass]
@@ -456,8 +450,9 @@ def _contains_through(sigma: Perm, pi: Perm, k: int, k2: int) -> bool:
 def _grow(sigma: Perm, sites: int,
           pats: tuple[Perm, ...]) -> list[tuple[int, Perm, int]]:
     """The children of sigma, a node of the generating tree grown from the
-    root () with its sites carried, inserted at the gaps in sites: for
-    each, the gap k that took the new maximum, the child and its own sites.
+    root () with its sites carried, inserted at the gaps in the bitmask
+    sites (bit k: in front of position k): for each, the gap k that took
+    the new maximum, the child and its own sites.
 
     A child's sites are the images of sigma's legal gaps: an illegal gap
     stays illegal in every child, because deleting the child's maximum
@@ -513,23 +508,32 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     return [child for child in gaps if avoids_all(child, pats)]
 
 
-def west_class(n: int, wclass: str) -> list[Perm]:
-    """Members of the West class at size n in lexicographic order, grown
-    as a generating tree from the empty permutation, whose one gap takes
-    the 1.  The list is the caller's own copy.
-
-    Each member of the last level carries its sites, the images of its
-    parent's legal gaps, and its children are tested only there, for
-    occurrences through the new and the old maximum (see _grow).
-    """
+def west_tree(n: int, wclass: str,
+              visit: Callable[[Perm, int], None]) -> None:
+    """Call visit(sigma, inv(sigma)) at every member sigma of the West
+    class up to size n, depth first down the generating tree from (), each
+    node with its sites (see _grow).  The new maximum in gap k of a size-m
+    node adds m - k inversions.  No node outlives the path to it."""
     pats = _west_patterns(wclass)
     check_size(n, WEST_BOUND, "West class")
-    levels, sites = _west_cache.setdefault(wclass, ([[()]], [0b1]))
-    while len(levels) <= n:
-        grown = sorted((child, kid_sites)
-                       for sigma, s in zip(levels[-1], sites)
-                       for _, child, kid_sites in _grow(sigma, s, pats))
-        levels.append([child for child, _ in grown])
-        sites[:] = [s for _, s in grown]
-        del grown   # so that growing many levels peaks as high as one
-    return list(levels[n])
+
+    def grow(sigma: Perm, sites: int, q: int) -> None:
+        visit(sigma, q)
+        m = len(sigma)
+        if m < n:
+            for k, child, kid_sites in _grow(sigma, sites, pats):
+                grow(child, kid_sites, q + m - k)
+
+    grow((), 0b1, 0)
+
+
+def west_class(n: int, wclass: str) -> list[Perm]:
+    """The West class at size n, sorted: west_tree's nodes at depth n."""
+    members: list[Perm] = []
+
+    def visit(sigma: Perm, q: int) -> None:
+        if len(sigma) == n:
+            members.append(sigma)
+
+    west_tree(n, wclass, visit)
+    return sorted(members)

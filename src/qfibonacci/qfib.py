@@ -171,8 +171,8 @@ class Family(NamedTuple):
     walk(n) maps sizes to polynomials from one depth-first pass to size n:
     over the S/D word tree, every size 0..n for the order-invariant families
     (_walked) and n alone for D and D' (_cycle_walk); down West's generating
-    tree, every size 0..n (_west_walk).  The oracle uses it in place of the
-    objects/weight loop, which stays the reference.
+    tree by permstats.west_tree, every size 0..n (_west_walk).  The oracle
+    uses it in place of the objects/weight loop, which stays the reference.
     Class generators and statistics are looked up on their modules at call
     time, so wrappers installed after import see every call.
     """
@@ -244,25 +244,15 @@ def _rb(alpha):
 
 
 def _west_walk(wclass: str):
-    """The walk of a West class, depth first down its generating tree from
-    the empty permutation, with the children and their sites from
-    permstats._grow.  Inserting the new maximum m + 1 into gap k of a size-m
-    member puts it before m - k values, so the child has m - k inversions
-    more than its parent.  No member outlives the path to it.  walk(n) maps
-    every size 0..n to its polynomial."""
+    """walk(n) tallies inv at every size 0..n in one west_tree pass."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        pats = permstats.WEST_PATTERNS[wclass]
         tallies: list[dict[int, int]] = [{} for _ in range(n + 1)]
 
-        def grow(sigma: tuple, sites: int, q: int) -> None:
-            m = len(sigma)
-            tally = tallies[m]
+        def visit(sigma: tuple, q: int) -> None:
+            tally = tallies[len(sigma)]
             tally[q] = tally.get(q, 0) + 1
-            if m < n:
-                for k, child, kid_sites in permstats._grow(sigma, sites, pats):
-                    grow(child, kid_sites, q + m - k)
 
-        grow((), 0b1, 0)
+        permstats.west_tree(n, wclass, visit)
         return {m: MultiPoly({(0, 0, q, ()): c for q, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
@@ -679,41 +669,34 @@ def _cassini(square_q: bool):
 
 def _t44(n: int):
     lhs = qfib_oracle("I", n + 2)
-    rhs = _t(1, x=n + 2, q=_c2(n + 2))
-    for j in range(n + 1):
-        rhs = rhs + (_t(1, x=n - j, y=1, q=(n * n + 3 * n - j * j + j) // 2)
-                     * _oracle_at("I", j))
-    return lhs, rhs
+    return lhs, MultiPoly.sum_of_products(
+        [(_t(1, x=n + 2, q=_c2(n + 2)), 1),
+         *((_t(1, x=n - j, y=1, q=(n * n + 3 * n - j * j + j) // 2),
+            _oracle_at("I", j)) for j in range(n + 1))])
 
 
 def _t45(n: int):
     lhs = qfib_oracle("I", 2 * n + 1)
-    rhs = MultiPoly.zero()
-    for j in range(n + 1):
-        rhs = rhs + (_t(1, x=1, y=j, q=4 * n * j - 2 * j * j + 2 * n - 2 * j)
-                     * _oracle_at("I", 2 * n - 2 * j))
-    return lhs, rhs
+    return lhs, MultiPoly.sum_of_products(
+        (_t(1, x=1, y=j, q=4 * n * j - 2 * j * j + 2 * n - 2 * j),
+         _oracle_at("I", 2 * n - 2 * j)) for j in range(n + 1))
 
 
 def _t46(first_term_exp: Callable[[int], int]):
     def build(n: int):
         lhs = qfib_oracle("I", 2 * n)
-        rhs = _t(1, y=n, q=first_term_exp(n))
-        for j in range(n):
-            rhs = rhs + (_t(1, x=1, y=j,
-                            q=4 * n * j - 2 * j * j - 4 * j + 2 * n - 1)
-                         * _oracle_at("I", 2 * n - 2 * j - 1))
-        return lhs, rhs
+        return lhs, MultiPoly.sum_of_products(
+            [(_t(1, y=n, q=first_term_exp(n)), 1),
+             *((_t(1, x=1, y=j, q=4 * n * j - 2 * j * j - 4 * j + 2 * n - 1),
+                _oracle_at("I", 2 * n - 2 * j - 1)) for j in range(n))])
     return build
 
 
 def _t47(n: int):
     lhs = qfib_oracle("I", n + 1) * qfib_oracle("I", n)
-    rhs = MultiPoly.zero()
-    for j in range(n + 1):
-        rhs = rhs + (_t(1, x=1, y=n - j, q=(n - j) * (n + j - 1) + j)
-                     * _oracle_at("I", j) * _oracle_at("I", j))
-    return lhs, rhs
+    return lhs, MultiPoly.sum_of_products(
+        (_t(1, x=1, y=n - j, q=(n - j) * (n + j - 1) + j) * _oracle_at("I", j),
+         _oracle_at("I", j)) for j in range(n + 1))
 
 
 def _build_catalog() -> tuple[IdentityDef, ...]:

@@ -133,6 +133,12 @@ class TestEnumerateVerb:
                            "--n", "12")
         assert code == 3
 
+    def test_west_bound(self, capsys):
+        # the shared West traversal refuses the size before any node
+        code, out, err = run(capsys, "enumerate", "--class", "W3", "--n", "13")
+        assert (code, out) == (3, "")
+        assert "bound" in err
+
 
 class TestDistributionVerb:
     def test_inv_distribution(self, capsys):
@@ -250,19 +256,17 @@ class TestTableVerb:
 
     def test_west_rows_from_one_walk_without_levels(self, capsys,
                                                     monkeypatch):
-        # the oracle walks the generating tree once and keeps no level;
-        # the enumerate verb still grows and caches them
+        # the oracle walks the generating tree once for every row; the
+        # enumerate verb sorts the depth-n nodes of the same traversal
         walked = count_walks(monkeypatch, "W1")
-        monkeypatch.setattr(permstats, "_west_cache", {})
         code, out, _ = run(capsys, "table", "--family", "W1", "--max-n", "10")
-        assert (code, walked, permstats._west_cache) == (0, [10], {})
+        assert (code, walked) == (0, [10])
         assert out.splitlines()[3] == "3\tq^3 + 2*q^2 + 2*q"
         code, out, _ = run(capsys, "enumerate", "--class", "W1", "--n", "5")
         assert code == 0
         assert out.split() == [permstats.perm_to_text(p) for p in
                                permstats.enumerate_avoiders(
                                    5, permstats.WEST_PATTERNS["W1"])]
-        assert list(permstats._west_cache) == ["W1"]
 
     def test_oracle_bound_checked_before_any_row(self, capsys):
         # the bound is checked before any row, so no walk runs

@@ -74,7 +74,8 @@ class TestWalk:
 
     def test_west_walk_serves_every_size(self):
         # one walk down the generating tree tallies every depth; the class
-        # sizes F_{2m-2} also catch a fault shared with west_class
+        # sizes F_{2m-2} also catch a fault of permstats.west_tree, which
+        # west_class and so _brute_force also run
         for fam in WEST_FAMILIES:
             polys = qfib.FAMILY[fam].walk(11)
             assert list(polys) == list(range(12)), fam
@@ -84,8 +85,8 @@ class TestWalk:
                     qfib.fibonacci(2 * m - 2) if m else 1), (fam, m)
 
     def test_west_walk_equals_filter(self):
-        # a reference that shares nothing with the walk: _brute_force reads
-        # west_class, which grows its children with the walk's own _grow
+        # the filter shares nothing with the walk; _brute_force does, as
+        # west_class sorts the nodes of the walk's own west_tree
         for fam in WEST_FAMILIES:
             pats = permstats.WEST_PATTERNS[fam]
             polys = qfib.FAMILY[fam].walk(7)
