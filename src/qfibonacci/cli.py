@@ -11,7 +11,9 @@ Verbs:
 Exit codes: 0 success (verify: every instance holds under some cataloged
 reading), 1 verification found an instance failing all readings, 2 usage
 error, 3 bound, memory or exponent range exceeded.  Data goes to stdout,
-diagnostics to stderr.  There is no configuration beyond the flags.
+diagnostics to stderr; a reader that closes stdout early drops the rest of
+the data and leaves the exit code as it was.  There is no configuration
+beyond the flags.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import partitions, permstats, qfib
 from .permstats import BoundExceeded
@@ -139,21 +142,22 @@ def _family_poly(family: str, n: int, method: str) -> MultiPoly:
     return qfib.qfib_oracle(family, n)
 
 
-def _cmd_enumerate(args) -> int:
+# Each verb returns its exit code and its output, as pieces of text that
+# main writes in order.
+
+
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     cls = args.cls.strip()
     if cls in permstats.WEST_PATTERNS:
         members = permstats.west_class(args.n, cls)
     else:
         members = permstats.enumerate_avoiders(args.n, _parse_perm_patterns(cls))
     if args.format == "json":
-        print(json.dumps([list(p) for p in members]))
-    else:
-        for p in members:
-            print(permstats.perm_to_text(p))
-    return 0
+        return 0, [json.dumps([list(p) for p in members]) + "\n"]
+    return 0, (permstats.perm_to_text(p) + "\n" for p in members)
 
 
-def _cmd_distribution(args) -> int:
+def _cmd_distribution(args) -> tuple[int, Iterable[str]]:
     n = args.n
     if args.kind == "partitions":
         if args.stat != "rb":
@@ -171,32 +175,29 @@ def _cmd_distribution(args) -> int:
         members = permstats.enumerate_avoiders(n, _parse_perm_patterns(args.patterns))
     tally = Counter(stat(m) for m in members)
     poly = MultiPoly({(0, 0, e, ()): c for e, c in tally.items()})
-    print(_poly_payload(poly, args.format, kind=args.kind, stat=args.stat,
-                        n=n, size=len(members)))
-    return 0
+    return 0, [_poly_payload(poly, args.format, kind=args.kind,
+                             stat=args.stat, n=n, size=len(members)) + "\n"]
 
 
-def _cmd_qfib(args) -> int:
+def _cmd_qfib(args) -> tuple[int, Iterable[str]]:
     poly = _family_poly(args.family, args.n, args.method)
-    print(_poly_payload(poly, args.format, family=args.family, n=args.n,
-                        method=args.method))
-    return 0
+    return 0, [_poly_payload(poly, args.format, family=args.family, n=args.n,
+                             method=args.method) + "\n"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     if args.list:
-        print(json.dumps(qfib.identity_catalog(), indent=2))
-        return 0
+        return 0, [json.dumps(qfib.identity_catalog(), indent=2) + "\n"]
     if args.all:
         reports = qfib.verify_all(max_n=args.max_n, max_m=args.max_m)
     else:
         reports = [qfib.verify_identity(args.identity, max_n=args.max_n,
                                         max_m=args.max_m)]
-    print(json.dumps([r.to_json() for r in reports], indent=2))
-    return 0 if all(r.holds for r in reports) else 1
+    return (0 if all(r.holds for r in reports) else 1,
+            [json.dumps([r.to_json() for r in reports], indent=2) + "\n"])
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, Iterable[str]]:
     # largest first: the bound is checked before any row, and one oracle
     # walk to --max-n serves the smaller sizes
     rows = [(n, _family_poly(args.family, n, args.method))
@@ -207,17 +208,14 @@ def _cmd_table(args) -> int:
         writer.writerow(["n", "polynomial"])
         for n, poly in rows:
             writer.writerow([n, poly.canonical_text()])
-        sys.stdout.write(buf.getvalue())
-    elif args.format == "latex":
-        print(r"\begin{tabular}{rl}")
-        print(rf"$n$ & $F_n^{{{args.family}}}$ \\ \hline")
-        for n, poly in rows:
-            print(rf"{n} & ${poly.canonical_text(latex=True)}$ \\")
-        print(r"\end{tabular}")
-    else:
-        for n, poly in rows:
-            print(f"{n}\t{poly.canonical_text()}")
-    return 0
+        return 0, [buf.getvalue()]
+    if args.format == "latex":
+        return 0, [r"\begin{tabular}{rl}" "\n",
+                   rf"$n$ & $F_n^{{{args.family}}}$ \\ \hline" "\n",
+                   *(rf"{n} & ${poly.canonical_text(latex=True)}$ \\" "\n"
+                     for n, poly in rows),
+                   r"\end{tabular}" "\n"]
+    return 0, (f"{n}\t{poly.canonical_text()}\n" for n, poly in rows)
 
 
 _COMMANDS = {
@@ -236,7 +234,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
-        return _COMMANDS[args.verb](args)
+        code, output = _COMMANDS[args.verb](args)
+        try:
+            for text in output:
+                sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: the rest of the output goes to /dev/null,
+            # so that the flush at exit raises nothing either (see "Note on
+            # SIGPIPE" in the signal module's documentation)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
     except BoundExceeded as exc:
         print(f"qfib: {exc}", file=sys.stderr)
         return BOUND_EXIT

@@ -43,6 +43,16 @@ from .polyring import MultiPoly, q_pow
 #: the class sizes F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
+#: Sizes from which an oracle walk is split over two processes
+#: (permstats.split_walk), where the walk alone takes about 35 ms, ten times
+#: what forking, the pipes and the merge cost (2 vCPUs, CPython 3.11).
+WORD_SPLIT_FROM = 22
+WEST_SPLIT_FROM = 10
+
+#: Placed elements at the subtree roots of a split word walk: the F_10 = 89
+#: nodes that first reach 9 or more, below 88 nodes with fewer.
+WORD_CUT = 9
+
 
 def fibonacci(n: int) -> int:
     """F_0 = F_1 = 1, F_n = F_{n-1} + F_{n-2}."""
@@ -171,7 +181,9 @@ class Family(NamedTuple):
     walk(n) maps sizes to polynomials from one depth-first pass to size n:
     over the S/D word tree, every size 0..n for the order-invariant families
     (_walked) and n alone for D and D' (_cycle_walk); down West's generating
-    tree by permstats.west_tree, every size 0..n (_west_walk).  The oracle
+    tree by permstats.west_tree, every size 0..n (_west_walk).  From
+    WORD_SPLIT_FROM and WEST_SPLIT_FROM on, _walked and _west_walk share
+    the pass with one forked child (permstats.split_walk).  The oracle
     uses it in place of the objects/weight loop, which stays the reference.
     Class generators and statistics are looked up on their modules at call
     time, so wrappers installed after import see every call.
@@ -244,15 +256,21 @@ def _rb(alpha):
 
 
 def _west_walk(wclass: str):
-    """walk(n) tallies inv at every size 0..n in one west_tree pass."""
+    """walk(n) tallies inv at every size 0..n in one west_tree pass, split
+    over two processes from size WEST_SPLIT_FROM on."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        tallies: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        def run(claim) -> list[dict[int, int]]:
+            tallies: list[dict[int, int]] = [{} for _ in range(n + 1)]
 
-        def visit(sigma: tuple, q: int) -> None:
-            tally = tallies[len(sigma)]
-            tally[q] = tally.get(q, 0) + 1
+            def visit(sigma: tuple, q: int) -> None:
+                tally = tallies[len(sigma)]
+                tally[q] = tally.get(q, 0) + 1
 
-        permstats.west_tree(n, wclass, visit)
+            permstats.west_tree(n, wclass, visit, claim)
+            return tallies
+
+        tallies = permstats.split_walk(run, permstats.WEST_CUT,
+                                       n >= WEST_SPLIT_FROM)
         return {m: MultiPoly({(0, 0, q, ()): c for q, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
@@ -282,7 +300,9 @@ def _walked(values, step):
     """The walk of an order-invariant word family.  values(n, left, size) is
     the layer of that size after left placed elements, and the statistic of
     a member is the sum of the steps along its word.  walk(n) maps every
-    size 0..n to its polynomial."""
+    size 0..n to its polynomial; from size WORD_SPLIT_FROM on, the walk is
+    split over two processes at the nodes of WORD_CUT or more placed
+    elements."""
     def walk(n: int) -> dict[int, MultiPoly]:
         layers: list[list[tuple]] = [[] for _ in range(n + 1)]
         for left in range(n + 1):
@@ -291,7 +311,7 @@ def _walked(values, step):
                     vals = values(n, left, size)
                     layers[left].append((size, vals, min(vals)))
         buf = [0] * n
-        tallies: list[dict[tuple, int]] = [{} for _ in range(n + 1)]
+        tallies: list[dict[tuple, int]] = []
 
         def grow(left: int, d: int, q: int, low: int) -> None:
             tally = tallies[left]
@@ -301,7 +321,27 @@ def _walked(values, step):
                 grow(left + size, d + size - 1, q + step(buf, left, size, low),
                      least if least < low else low)
 
-        grow(0, 0, 0, n + 1)
+        def run(claim) -> list[dict[tuple, int]]:
+            nonlocal tallies
+            tallies = [{} for _ in range(n + 1)]
+
+            def top(left: int, d: int, q: int, low: int) -> None:
+                if left >= WORD_CUT:
+                    if claim():
+                        grow(left, d, q, low)
+                    return
+                tally = tallies[left]
+                tally[d, q] = tally.get((d, q), 0) + 1
+                for size, vals, least in layers[left]:
+                    buf[left:left + size] = vals
+                    top(left + size, d + size - 1,
+                        q + step(buf, left, size, low),
+                        least if least < low else low)
+
+            (grow if claim is None else top)(0, 0, 0, n + 1)
+            return tallies
+
+        tallies = permstats.split_walk(run, WORD_CUT, n >= WORD_SPLIT_FROM)
         return {m: MultiPoly({(m - 2 * d, d, q, ()): c
                               for (d, q), c in tally.items()})
                 for m, tally in enumerate(tallies)}
@@ -862,10 +902,13 @@ def verify_identity(ident: str, max_n: int | None = None,
         used_by[indices], sides = _adjudicate(defn, indices)
         if sides:
             failure = indices, sides
+    range_checked = {"arity": list(defn.arity), "start": defn.start,
+                     "max": defn.default_max if max_n is None else max_n}
+    if max_m is not None and "m" in defn.arity:
+        range_checked["max_m"] = max_m
     report = IdentityReport(
         ident=ident,
-        range_checked={"arity": list(defn.arity), "start": defn.start,
-                       "max": defn.default_max if max_n is None else max_n},
+        range_checked=range_checked,
         instances=[{"indices": dict(zip(defn.arity, indices)),
                     "verdict": "holds" if used_by[indices] else "fails",
                     "reading": used_by[indices]} for indices in instances],

@@ -4,6 +4,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -22,7 +25,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _workloads():
@@ -224,6 +228,36 @@ class TestVerifyVerb:
                           "--max-n", "5", "--max-m", "1")
         assert [t41] == json.loads(alone)
         assert [i["indices"]["m"] for i in t41["instances"]] == [1] * 4
+        # the cut on m shows in the range of the identities with an m index
+        assert t41["range"] == {"arity": ["m", "n"], "start": 1, "max": 5,
+                                "max_m": 1}
+        t21 = next(r for r in json.loads(out) if r["id"] == "T2.1")
+        assert "max_m" not in t21["range"]
+        _, uncut, _ = run(capsys, "verify", "--identity", "T4.1",
+                          "--max-n", "5")
+        assert "max_m" not in json.loads(uncut)[0]["range"]
+
+    @pytest.mark.parametrize("ident, want", [("T2.1", 0), ("T5.3", 1)])
+    def test_closed_stdout_keeps_the_verdict(self, monkeypatch, tmp_path,
+                                             ident, want):
+        # the reader of stdout has gone: the exit code is still the
+        # verdict, and fd 1 now leads to the null device
+        fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["verify", "--identity", ident, "--max-n", "4"]) == want
+            os.write(fd, b"dropped")
+        finally:
+            os.close(fd)
+        assert (tmp_path / "out").read_bytes() == b""
 
 
 class TestTableVerb:
@@ -267,6 +301,53 @@ class TestTableVerb:
         assert out.split() == [permstats.perm_to_text(p) for p in
                                permstats.enumerate_avoiders(
                                    5, permstats.WEST_PATTERNS["W1"])]
+
+    def test_split_walk_prints_each_row_once(self, capfd, monkeypatch):
+        # the forked child leaves by os._exit and writes nothing to fd 1
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert main(["table", "--family", "W1", "--max-n", "10"]) == 0
+        out, err = capfd.readouterr()
+        assert (len(forks), err) == (1, "")
+        assert [line.split("\t")[0] for line in out.splitlines()] == [
+            str(n) for n in range(11)]
+
+    def test_memory_error_in_split_walk_exit_3(self, capsys, monkeypatch):
+        # the parent's share of the split West walk runs out of memory: the
+        # child is killed and reaped, and the CLI exits 3
+        parent, grow = os.getpid(), permstats._grow
+
+        def exhausted(sigma, sites, pats):
+            if os.getpid() == parent and len(sigma) >= permstats.WEST_CUT:
+                raise MemoryError
+            return grow(sigma, sites, pats)
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(permstats, "_grow", exhausted)
+        code, out, err = run(capsys, "table", "--family", "W1",
+                             "--max-n", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("qfib: ") and err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closed_stdout_exits_0(self):
+        # the reader takes 100 bytes and closes the pipe: no traceback, and
+        # the exit code is the verb's own
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with subprocess.Popen(
+                [sys.executable, "-m", "qfibonacci.cli", "table", "--family",
+                 "D'", "--max-n", "40", "--method", "recursion"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_oracle_bound_checked_before_any_row(self, capsys):
         # the bound is checked before any row, so no walk runs
@@ -321,10 +402,11 @@ class TestUsage:
 
 
 # Option values for the exit-code property, good then malformed.  30 is past
-# every enumeration bound (9, 12, 26) but cheap for a recursion.  verify
+# every enumeration bound (9, 12, 26) but cheap for a recursion; at 10 the
+# West oracle walks are split over two processes (given two CPUs).  verify
 # always gets a --max-n, and none past 4: its default ranges build oracles
 # for seconds.
-_SIZES = (("0", "1", "3", "5", "30"), ("-1", "x", ""))
+_SIZES = (("0", "1", "3", "5", "10", "30"), ("-1", "x", ""))
 _FAMILIES = (qfib.FAMILIES, ("Z",))
 _METHODS = (("oracle", "recursion", "closed-form"), ("guess",))
 _OPTIONS = {

@@ -2,6 +2,9 @@
 counts, and the identity verifier's adjudication behavior."""
 
 import hashlib
+import marshal
+import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,9 @@ from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
 ONE_WALK_FAMILIES = ("I", "I'", "M", "M'", "RB", "C")
 WEST_FAMILIES = ("W1", "W2", "W3")
+# the two sizes from which each walk is split
+SPLIT_SIZES = [*((f, n) for f in ONE_WALK_FAMILIES for n in (22, 23)),
+               *((f, n) for f in WEST_FAMILIES for n in (10, 11))]
 
 
 def P(text):
@@ -126,6 +132,91 @@ class TestWalk:
         for n in range(12):
             assert qfib.qfib_oracle("I", n) is walked[n > 5][n]
         assert len(walked) == 2
+
+
+def set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def count_forks(monkeypatch):
+    """The pids of the children forked from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def count_serial_walks(monkeypatch):
+    """For each walk that split_walk runs in this process from now on,
+    whether it ran alone (claim None)."""
+    alone, split_walk = [], permstats.split_walk
+
+    def counted(walk, cut, big):
+        def run(claim):
+            alone.append(claim is None)
+            return walk(claim)
+        return split_walk(run, cut, big)
+    monkeypatch.setattr(permstats, "split_walk", counted)
+    return alone
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitWalk:
+    @pytest.mark.parametrize("family, n", SPLIT_SIZES)
+    def test_split_equals_serial(self, monkeypatch, family, n):
+        walk = qfib.FAMILY[family].walk
+        forks = count_forks(monkeypatch)
+        alone = count_serial_walks(monkeypatch)
+        set_cpus(monkeypatch, (0, 1))
+        split = walk(n)
+        # the dry pass and the parent's share; the child took the rest
+        assert (len(forks), alone) == (1, [False, False])
+        set_cpus(monkeypatch, (0,))
+        assert walk(n) == split
+        assert len(forks) == 1
+        assert_no_child()
+
+    @pytest.mark.parametrize("family, n, cpus", [
+        ("I", 21, (0, 1)), ("W1", 9, (0, 1)), ("I", 22, (0,)),
+        ("W1", 10, (0,)), ("I", 22, None), ("W1", 10, None)])
+    def test_serial_walks_never_fork(self, monkeypatch, family, n, cpus):
+        # below the split sizes, on one CPU, and without sched_getaffinity
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            set_cpus(monkeypatch, cpus)
+        assert list(qfib.FAMILY[family].walk(n)) == list(range(n + 1))
+
+    @pytest.mark.parametrize("family, n", [("M", 22), ("W2", 10)])
+    def test_failed_child_leaves_the_result(self, monkeypatch, family, n):
+        # the child inherits the refusing marshal, exits nonzero, and the
+        # parent walks the whole tree again alone
+        walk = qfib.FAMILY[family].walk
+        set_cpus(monkeypatch, (0,))
+        serial = walk(n)
+
+        def refuse(value):
+            raise ValueError("refused")
+        monkeypatch.setattr(permstats, "marshal", SimpleNamespace(
+            dumps=refuse, loads=marshal.loads))
+        forks = count_forks(monkeypatch)
+        alone = count_serial_walks(monkeypatch)
+        set_cpus(monkeypatch, (0, 1))
+        assert walk(n) == serial
+        assert (len(forks), alone) == (1, [False, False, True])
+        assert_no_child()
 
 
 class TestRecursive:
