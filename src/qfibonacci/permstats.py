@@ -39,10 +39,6 @@ FILTER_BOUND = 9
 #: pattern of W1-W3 backtracks at each site (see _grow).
 WEST_BOUND = 12
 
-#: Size of the subtree roots of a split West walk (split_walk): each class
-#: has F_10 = 89 members of size 6, below 56 smaller nodes.
-WEST_CUT = 6
-
 #: West's three doubly-restricted classes, counted by even-index Fibonacci.
 WEST_PATTERNS: dict[str, tuple[Perm, ...]] = {
     "W1": ((1, 2, 3), (2, 1, 4, 3)),
@@ -514,38 +510,38 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     return [child for child in gaps if avoids_all(child, pats)]
 
 
-def west_tree(n: int, wclass: str, visit: Callable[[Perm, int], None],
-              claim: Callable[[], bool] | None = None) -> None:
+#: The root of West's generating tree, as a (sigma, sites, inv) node.
+WEST_ROOT = ((), 0b1, 0)
+
+
+def west_tree(n: int, wclass: str, visit: Callable[[Perm, int], None]) -> None:
     """Call visit(sigma, inv(sigma)) at every member sigma of the West
     class up to size n, depth first down the generating tree from (), each
     node with its sites (see _grow).  The new maximum in gap k of a size-m
-    node adds m - k inversions.  No node outlives the path to it.
+    node adds m - k inversions.  No node outlives the path to it."""
+    _west_subtree(n, wclass, visit, WEST_ROOT, n + 1)
 
-    With claim, the members of size WEST_CUT are subtree roots: at each, in
-    depth-first order, claim() says whether to walk its subtree (see
-    split_walk)."""
+
+def _west_subtree(n: int, wclass: str, visit: Callable[[Perm, int], None],
+                  node: tuple[Perm, int, int], stop: int) -> list[tuple]:
+    """west_tree's walk of node's subtree through its nodes below size
+    stop; it returns the nodes of size stop, unwalked (see split_walk)."""
     pats = _west_patterns(wclass)
     check_size(n, WEST_BOUND, "West class")
+    frontier: list[tuple] = []
 
     def grow(sigma: Perm, sites: int, q: int) -> None:
-        visit(sigma, q)
         m = len(sigma)
-        if m < n:
-            for k, child, kid_sites in _grow(sigma, sites, pats):
-                grow(child, kid_sites, q + m - k)
-
-    def top(sigma: Perm, sites: int, q: int) -> None:
-        m = len(sigma)
-        if m == WEST_CUT:
-            if claim():
-                grow(sigma, sites, q)
+        if m >= stop:
+            frontier.append((sigma, sites, q))
             return
         visit(sigma, q)
         if m < n:
             for k, child, kid_sites in _grow(sigma, sites, pats):
-                top(child, kid_sites, q + m - k)
+                grow(child, kid_sites, q + m - k)
 
-    (grow if claim is None else top)((), 0b1, 0)
+    grow(*node)
+    return frontier
 
 
 def west_class(n: int, wclass: str) -> list[Perm]:
@@ -563,101 +559,85 @@ def west_class(n: int, wclass: str) -> list[Perm]:
 # -- walks split over two processes -------------------------------------------
 
 Tallies = list[dict]
-Walk = Callable[[Callable[[], bool] | None], Tallies]
+Descend = Callable[[tuple, int, Tallies], list]
 
 
-def split_walk(walk: Walk, cut: int, big: bool) -> Tallies:
-    """The counts of a tree walk, one dict per node size, from this process
-    and one forked child when big is true and the platform can fork onto a
-    second CPU; else walk(None), the walk alone.
+def split_walk(descend: Descend, root: tuple, n: int, cut: int,
+               big: bool) -> Tallies:
+    """The counts of a tree walk to size n, one dict per node size, from
+    this process and, when big is true and the platform can fork onto a
+    second CPU, one forked child.
 
-    walk(claim) walks the same tree, except that at each root, a node of
-    size >= cut whose parent is smaller, it walks the root's subtree only if
-    claim() is true; claim is called at the roots in depth-first order.  The
-    subtrees partition the nodes of size >= cut, and every process walks
-    the smaller nodes itself, so no walk state is sent.
-
-    A dry pass counts the roots, and tickets 0..R-1 wait in a pipe, 4 bytes
-    each; a process takes the k-th root only with ticket k, and draws its
-    next ticket once that subtree is done, so a process on a slower CPU
-    takes fewer subtrees.  The child sends back, with marshal, its counts
-    of sizes >= cut and how many subtrees it took, and leaves by os._exit,
-    so no buffered output is written twice.  Unless it exits 0 having taken
-    every subtree the parent did not, the parent walks the whole tree again
-    alone: the result never depends on the child.  If the parent's share
-    raises, the child is killed and reaped."""
-    if not (big and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        return walk(None)
-    roots = 0
-
-    def count() -> bool:
-        nonlocal roots
-        roots += 1
-        return False
-
-    walk(count)
+    descend(node, stop, tallies) walks node's subtree depth first, counts
+    every node of size m < stop into tallies[m], and returns the unwalked
+    nodes of size >= stop whose parent is smaller, in depth-first order.
+    Split, descend(root, cut, ...) gives the roots, whose subtrees partition
+    the rest; each process walks the root of each ticket it draws from a
+    pipe, so a slower CPU takes fewer.  The child sends back, with marshal,
+    its counts of sizes >= cut and how many roots it took, and leaves by
+    os._exit, so no buffered output is written twice.  Unless it exits 0
+    having taken every root the parent did not, the parent walks those too
+    (every root, when os.fork fails).  If the parent's share raises, the
+    child is killed and reaped."""
+    tallies: Tallies = [{} for _ in range(n + 1)]
+    split = (big and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2)
+    roots = descend(root, cut if split else n + 1, tallies)
+    if not roots:
+        return tallies
     read_end, write_end = os.pipe()
     with open(read_end, "rb", buffering=0) as tickets:
         # a few hundred bytes, far below the pipe's capacity
         with open(write_end, "wb") as deal:
-            deal.write(b"".join(k.to_bytes(4, "little") for k in range(roots)))
+            deal.write(b"".join(k.to_bytes(4, "little")
+                                for k in range(len(roots))))
         read_end, write_end = os.pipe()
         with open(read_end, "rb") as results, open(write_end, "wb") as sink:
             try:
                 pid = os.fork()
             except OSError:
-                return walk(None)
+                pid = None
             if pid == 0:
-                _split_child(walk, cut, tickets, sink)
+                # the child: on any exception it exits 1, writing nothing
+                code = 1
+                try:
+                    own: Tallies = [{} for _ in range(n + 1)]
+                    taken = len(_drawn(descend, roots, n, tickets, own))
+                    sink.write(marshal.dumps([own[cut:], taken]))
+                    sink.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
             try:
                 sink.close()
-                tallies, taken = _claiming(walk, tickets)
+                mine = _drawn(descend, roots, n, tickets, tallies)
                 data = results.read()
-                status = os.waitpid(pid, 0)[1]
-                pid = 0
-            finally:
+            except BaseException:
                 if pid:
                     os.kill(pid, 9)     # SIGKILL
-                    os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) == 0:
-        theirs, their_taken = marshal.loads(data)
-        if taken + their_taken == roots:
+                raise
+            finally:
+                if pid:
+                    status = os.waitpid(pid, 0)[1]
+    if pid and os.waitstatus_to_exitcode(status) == 0:
+        theirs, taken = marshal.loads(data)
+        if len(mine) + taken == len(roots):
             for tally, their in zip(tallies[cut:], theirs):
                 for key, c in their.items():
                     tally[key] = tally.get(key, 0) + c
             return tallies
-    return walk(None)
+    for k, node in enumerate(roots):
+        if k not in mine:
+            descend(node, n + 1, tallies)
+    return tallies
 
 
-def _claiming(walk: Walk, tickets) -> tuple[Tallies, int]:
-    """walk's counts when it takes the roots whose tickets it draws from
-    tickets, and the number of subtrees it took."""
-    reached, held, taken = -1, -1, 0
-
-    def claim() -> bool:
-        nonlocal reached, held, taken
-        reached += 1
-        if held < reached:
-            ticket = tickets.read(4)
-            # no ticket left: no later root is this process's
-            held = int.from_bytes(ticket, "little") if ticket else 1 << 32
-        if held != reached:
-            return False
-        taken += 1
-        return True
-
-    return walk(claim), taken
-
-
-def _split_child(walk: Walk, cut: int, tickets, sink) -> None:
-    """The child's share of split_walk; it never returns, and it exits
-    nonzero, having written nothing, on any exception."""
-    code = 1
-    try:
-        tallies, taken = _claiming(walk, tickets)
-        sink.write(marshal.dumps([tallies[cut:], taken]))
-        sink.flush()
-        code = 0
-    finally:
-        os._exit(code)
+def _drawn(descend: Descend, roots: list, n: int, tickets,
+           tallies: Tallies) -> list[int]:
+    """Walk the root of each ticket drawn until none is left; the tickets."""
+    drawn = []
+    while ticket := tickets.read(4):
+        k = int.from_bytes(ticket, "little")
+        descend(roots[k], n + 1, tallies)
+        drawn.append(k)
+    return drawn

@@ -43,15 +43,15 @@ from .polyring import MultiPoly, q_pow
 #: the class sizes F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
-#: Sizes from which an oracle walk is split over two processes
-#: (permstats.split_walk), where the walk alone takes about 35 ms, ten times
-#: what forking, the pipes and the merge cost (2 vCPUs, CPython 3.11).
-WORD_SPLIT_FROM = 22
-WEST_SPLIT_FROM = 10
-
-#: Placed elements at the subtree roots of a split word walk: the F_10 = 89
-#: nodes that first reach 9 or more, below 88 nodes with fewer.
-WORD_CUT = 9
+#: The split walks (permstats.split_walk).  An oracle walk is split over two
+#: processes from size *_SPLIT_FROM on, where it takes about 35 ms alone, ten
+#: times what forking, the pipes and the merge cost (2 vCPUs, CPython 3.11).
+#: Its subtree roots, the nodes of size *_CUT or more with a smaller parent,
+#: are F_10 = 89 in both trees: the word nodes that first reach 9 or more
+#: placed elements, below 88 with fewer, and the West members of size 6,
+#: below 56.
+WORD_SPLIT_FROM, WORD_CUT = 22, 9
+WEST_SPLIT_FROM, WEST_CUT = 10, 6
 
 
 def fibonacci(n: int) -> int:
@@ -181,12 +181,12 @@ class Family(NamedTuple):
     walk(n) maps sizes to polynomials from one depth-first pass to size n:
     over the S/D word tree, every size 0..n for the order-invariant families
     (_walked) and n alone for D and D' (_cycle_walk); down West's generating
-    tree by permstats.west_tree, every size 0..n (_west_walk).  From
-    WORD_SPLIT_FROM and WEST_SPLIT_FROM on, _walked and _west_walk share
-    the pass with one forked child (permstats.split_walk).  The oracle
-    uses it in place of the objects/weight loop, which stays the reference.
-    Class generators and statistics are looked up on their modules at call
-    time, so wrappers installed after import see every call.
+    tree as permstats.west_tree walks it, every size 0..n (_west_walk).
+    These two share large walks with a forked child (permstats.split_walk,
+    WORD_SPLIT_FROM).  The oracle uses walk in place of the objects/weight
+    loop, which stays the reference.  Class generators and statistics are
+    looked up on their modules at call time, so wrappers installed after
+    import see every call.
     """
 
     objects: Callable[[int], Iterator[tuple[int, int, object]]]
@@ -256,21 +256,17 @@ def _rb(alpha):
 
 
 def _west_walk(wclass: str):
-    """walk(n) tallies inv at every size 0..n in one west_tree pass, split
-    over two processes from size WEST_SPLIT_FROM on."""
+    """walk(n) tallies inv at every size 0..n in one west_tree pass."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        def run(claim) -> list[dict[int, int]]:
-            tallies: list[dict[int, int]] = [{} for _ in range(n + 1)]
-
+        def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
             def visit(sigma: tuple, q: int) -> None:
                 tally = tallies[len(sigma)]
                 tally[q] = tally.get(q, 0) + 1
 
-            permstats.west_tree(n, wclass, visit, claim)
-            return tallies
+            return permstats._west_subtree(n, wclass, visit, node, stop)
 
-        tallies = permstats.split_walk(run, permstats.WEST_CUT,
-                                       n >= WEST_SPLIT_FROM)
+        tallies = permstats.split_walk(descend, permstats.WEST_ROOT, n,
+                                       WEST_CUT, n >= WEST_SPLIT_FROM)
         return {m: MultiPoly({(0, 0, q, ()): c for q, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
@@ -300,9 +296,8 @@ def _walked(values, step):
     """The walk of an order-invariant word family.  values(n, left, size) is
     the layer of that size after left placed elements, and the statistic of
     a member is the sum of the steps along its word.  walk(n) maps every
-    size 0..n to its polynomial; from size WORD_SPLIT_FROM on, the walk is
-    split over two processes at the nodes of WORD_CUT or more placed
-    elements."""
+    size 0..n to its polynomial.  Its nodes for permstats.split_walk are
+    (left, d, q, low, placed values)."""
     def walk(n: int) -> dict[int, MultiPoly]:
         layers: list[list[tuple]] = [[] for _ in range(n + 1)]
         for left in range(n + 1):
@@ -311,37 +306,28 @@ def _walked(values, step):
                     vals = values(n, left, size)
                     layers[left].append((size, vals, min(vals)))
         buf = [0] * n
-        tallies: list[dict[tuple, int]] = []
 
-        def grow(left: int, d: int, q: int, low: int) -> None:
-            tally = tallies[left]
-            tally[d, q] = tally.get((d, q), 0) + 1
-            for size, vals, least in layers[left]:
-                buf[left:left + size] = vals
-                grow(left + size, d + size - 1, q + step(buf, left, size, low),
-                     least if least < low else low)
+        def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
+            frontier: list[tuple] = []
 
-        def run(claim) -> list[dict[tuple, int]]:
-            nonlocal tallies
-            tallies = [{} for _ in range(n + 1)]
-
-            def top(left: int, d: int, q: int, low: int) -> None:
-                if left >= WORD_CUT:
-                    if claim():
-                        grow(left, d, q, low)
+            def grow(left: int, d: int, q: int, low: int) -> None:
+                if left >= stop:
+                    frontier.append((left, d, q, low, buf[:left]))
                     return
                 tally = tallies[left]
                 tally[d, q] = tally.get((d, q), 0) + 1
                 for size, vals, least in layers[left]:
                     buf[left:left + size] = vals
-                    top(left + size, d + size - 1,
-                        q + step(buf, left, size, low),
-                        least if least < low else low)
+                    grow(left + size, d + size - 1,
+                         q + step(buf, left, size, low),
+                         least if least < low else low)
 
-            (grow if claim is None else top)(0, 0, 0, n + 1)
-            return tallies
+            buf[:node[0]] = node[4]     # the placed values
+            grow(*node[:4])
+            return frontier
 
-        tallies = permstats.split_walk(run, WORD_CUT, n >= WORD_SPLIT_FROM)
+        tallies = permstats.split_walk(descend, (0, 0, 0, n + 1, []), n,
+                                       WORD_CUT, n >= WORD_SPLIT_FROM)
         return {m: MultiPoly({(m - 2 * d, d, q, ()): c
                               for (d, q), c in tally.items()})
                 for m, tally in enumerate(tallies)}

@@ -321,7 +321,7 @@ class TestTableVerb:
         parent, grow = os.getpid(), permstats._grow
 
         def exhausted(sigma, sites, pats):
-            if os.getpid() == parent and len(sigma) >= permstats.WEST_CUT:
+            if os.getpid() == parent and len(sigma) >= qfib.WEST_CUT:
                 raise MemoryError
             return grow(sigma, sites, pats)
         monkeypatch.setattr(qfib, "_oracle_cache", {})

@@ -3,6 +3,7 @@ counts, and the identity verifier's adjudication behavior."""
 
 import hashlib
 import marshal
+import math
 import os
 from types import SimpleNamespace
 
@@ -151,18 +152,55 @@ def count_forks(monkeypatch):
     return forks
 
 
-def count_serial_walks(monkeypatch):
-    """For each walk that split_walk runs in this process from now on,
-    whether it ran alone (claim None)."""
-    alone, split_walk = [], permstats.split_walk
+def record_descents(monkeypatch):
+    """(stop, node, returned nodes) for each descend that split_walk runs in
+    this process from now on, in order."""
+    calls, split_walk = [], permstats.split_walk
 
-    def counted(walk, cut, big):
-        def run(claim):
-            alone.append(claim is None)
-            return walk(claim)
-        return split_walk(run, cut, big)
-    monkeypatch.setattr(permstats, "split_walk", counted)
-    return alone
+    def recorded(descend, root, n, cut, big):
+        def run(node, stop, tallies):
+            frontier = descend(node, stop, tallies)
+            calls.append((stop, node, frontier))
+            return frontier
+        return split_walk(run, root, n, cut, big)
+    monkeypatch.setattr(permstats, "split_walk", recorded)
+    return calls
+
+
+def record_drawn(monkeypatch):
+    """The tickets that this process draws from now on, in order."""
+    tickets, drawn = [], permstats._drawn
+
+    def recorded(descend, roots, n, pipe, tallies):
+        mine = drawn(descend, roots, n, pipe, tallies)
+        tickets.extend(mine)
+        return mine
+    monkeypatch.setattr(permstats, "_drawn", recorded)
+    return tickets
+
+
+def deep_walks(calls, cut, n):
+    """The indices, among the roots that the first recorded descend
+    returned, of the roots that the later descends walked; the first
+    descend stops at cut and every later one at n + 1."""
+    assert [stop for stop, _, _ in calls] == [cut] + [n + 1] * (len(calls) - 1)
+    index = {id(root): k for k, root in enumerate(calls[0][2])}
+    return [index[id(node)] for _, node, _ in calls[1:]]
+
+
+def word_descend(n):
+    """A toy descend for split_walk: S/D words of size up to n, S of size 1
+    and D of size 2, each counted by its number of D."""
+    def descend(word, stop, tallies):
+        d = word.count("D")
+        size = len(word) + d
+        if size >= stop:
+            return [word]
+        tallies[size][d] = tallies[size].get(d, 0) + 1
+        return [root for letter, step in (("S", 1), ("D", 2))
+                if size + step <= n
+                for root in descend(word + letter, stop, tallies)]
+    return descend
 
 
 def assert_no_child():
@@ -174,14 +212,20 @@ class TestSplitWalk:
     @pytest.mark.parametrize("family, n", SPLIT_SIZES)
     def test_split_equals_serial(self, monkeypatch, family, n):
         walk = qfib.FAMILY[family].walk
+        cut = qfib.WEST_CUT if family in WEST_FAMILIES else qfib.WORD_CUT
         forks = count_forks(monkeypatch)
-        alone = count_serial_walks(monkeypatch)
+        calls = record_descents(monkeypatch)
+        drawn = record_drawn(monkeypatch)
         set_cpus(monkeypatch, (0, 1))
         split = walk(n)
-        # the dry pass and the parent's share; the child took the rest
-        assert (len(forks), alone) == (1, [False, False])
+        # the roots, then the parent's share and no fallback walk, so the
+        # child took the rest
+        assert len(calls[0][2]) == 89 and len(forks) == 1
+        assert deep_walks(calls, cut, n) == drawn
+        calls.clear()
         set_cpus(monkeypatch, (0,))
         assert walk(n) == split
+        assert [stop for stop, _, _ in calls] == [n + 1]
         assert len(forks) == 1
         assert_no_child()
 
@@ -201,9 +245,10 @@ class TestSplitWalk:
 
     @pytest.mark.parametrize("family, n", [("M", 22), ("W2", 10)])
     def test_failed_child_leaves_the_result(self, monkeypatch, family, n):
-        # the child inherits the refusing marshal, exits nonzero, and the
-        # parent walks the whole tree again alone
+        # the child inherits the refusing marshal and exits nonzero, and the
+        # parent walks the roots it had not taken
         walk = qfib.FAMILY[family].walk
+        cut = qfib.WEST_CUT if family in WEST_FAMILIES else qfib.WORD_CUT
         set_cpus(monkeypatch, (0,))
         serial = walk(n)
 
@@ -212,10 +257,67 @@ class TestSplitWalk:
         monkeypatch.setattr(permstats, "marshal", SimpleNamespace(
             dumps=refuse, loads=marshal.loads))
         forks = count_forks(monkeypatch)
-        alone = count_serial_walks(monkeypatch)
+        calls = record_descents(monkeypatch)
         set_cpus(monkeypatch, (0, 1))
         assert walk(n) == serial
-        assert (len(forks), alone) == (1, [False, False, True])
+        assert len(forks) == 1
+        assert sorted(deep_walks(calls, cut, n)) == list(range(89))
+        assert_no_child()
+
+    def test_toy_descend_counts_words(self):
+        tallies = [{} for _ in range(13)]
+        assert word_descend(12)("", 13, tallies) == []
+        assert tallies == [{d: math.comb(m - d, d) for d in range(m // 2 + 1)}
+                           for m in range(13)]
+
+    @pytest.mark.parametrize("cut, forked", [(0, 1), (5, 1), (14, 0)])
+    def test_toy_split_equals_alone(self, monkeypatch, cut, forked):
+        # cut 0 makes the root the one root, and past n there is none
+        n = 12
+        set_cpus(monkeypatch, (0,))
+        alone = permstats.split_walk(word_descend(n), "", n, cut, True)
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, (0, 1))
+        assert permstats.split_walk(word_descend(n), "", n, cut,
+                                    True) == alone
+        assert len(forks) == forked
+        assert_no_child()
+
+    def test_short_count_walks_the_rest(self, monkeypatch):
+        # the child drops a ticket unwalked, draws every other one and exits
+        # 0 before the parent draws, so its count is short, and the parent
+        # walks every root, none of which it drew
+        n, cut = 16, 4
+        alone = permstats.split_walk(word_descend(n), "", n, cut, False)
+        parent, drawn = os.getpid(), permstats._drawn
+
+        def lossy(descend, roots, n, tickets, tallies):
+            if os.getpid() == parent:
+                # wait for the child's exit, leaving it to split_walk to reap
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            else:
+                tickets.read(4)
+            return drawn(descend, roots, n, tickets, tallies)
+        monkeypatch.setattr(permstats, "_drawn", lossy)
+        calls = record_descents(monkeypatch)
+        set_cpus(monkeypatch, (0, 1))
+        assert permstats.split_walk(word_descend(n), "", n, cut,
+                                    True) == alone
+        assert deep_walks(calls, cut, n) == list(range(len(calls[0][2])))
+        assert_no_child()
+
+    def test_fork_failure_walks_every_root_here(self, monkeypatch):
+        n, cut = 12, 5
+        alone = permstats.split_walk(word_descend(n), "", n, cut, False)
+
+        def fork():
+            raise OSError("no fork")
+        monkeypatch.setattr(os, "fork", fork)
+        calls = record_descents(monkeypatch)
+        set_cpus(monkeypatch, (0, 1))
+        assert permstats.split_walk(word_descend(n), "", n, cut,
+                                    True) == alone
+        assert deep_walks(calls, cut, n) == list(range(len(calls[0][2])))
         assert_no_child()
 
 
