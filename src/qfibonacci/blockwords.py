@@ -10,8 +10,7 @@ length 1) and '-' (dash, length 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .polyring import MultiPoly
 from .permstats import (Perm, check_size, check_word, perm_from_word,
@@ -147,8 +146,7 @@ def deinterleave(word: str) -> str:
 # -- leading-prefix classification ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrefixClass:
+class PrefixClass(NamedTuple):
     """Classification of the leading prefix of an interleaved word.
 
     kind: 'ss', 'dd', 'ds*s', 'dssd', 'sd^ls', 'dsd^ls' or 'residual'.

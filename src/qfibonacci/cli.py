@@ -10,18 +10,16 @@ Verbs:
 
 Exit codes: 0 success (verify: every instance holds under some cataloged
 reading), 1 verification found an instance failing all readings, 2 usage
-error, 3 bound, memory or exponent range exceeded.  Data goes to stdout,
-diagnostics to stderr; a reader that closes stdout early drops the rest of
-the data and leaves the exit code as it was.  There is no configuration
-beyond the flags.
+error (verify: also an index range with no instance), 3 bound, memory or
+exponent range exceeded.  Data goes to stdout, diagnostics to stderr; a
+reader that closes stdout early drops the rest of the data and leaves the
+exit code as it was.  There is no configuration beyond the flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from collections import Counter
@@ -124,6 +122,7 @@ def _parse_perm_patterns(text: str) -> list[tuple[int, ...]]:
 
 def _poly_payload(p: MultiPoly, fmt: str, **meta) -> str:
     if fmt == "json":
+        import json
         return json.dumps({**meta, "text": p.canonical_text(),
                            "terms": p.to_json_terms()})
     if fmt == "latex":
@@ -153,6 +152,7 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     else:
         members = permstats.enumerate_avoiders(args.n, _parse_perm_patterns(cls))
     if args.format == "json":
+        import json
         return 0, [json.dumps([list(p) for p in members]) + "\n"]
     return 0, (permstats.perm_to_text(p) + "\n" for p in members)
 
@@ -186,6 +186,7 @@ def _cmd_qfib(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, Iterable[str]]:
+    import json
     if args.list:
         return 0, [json.dumps(qfib.identity_catalog(), indent=2) + "\n"]
     if args.all:
@@ -203,6 +204,7 @@ def _cmd_table(args) -> tuple[int, Iterable[str]]:
     rows = [(n, _family_poly(args.family, n, args.method))
             for n in range(args.max_n, -1, -1)][::-1]
     if args.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "polynomial"])

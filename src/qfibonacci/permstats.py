@@ -24,9 +24,8 @@ import itertools
 import marshal
 import os
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -194,8 +193,7 @@ def enumerate_avoiders_scan(n: int,
 # -- cycle decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """Disjoint cycles of the map i -> p_i, each starting at its smallest
     element, listed by increasing smallest element."""
 

@@ -47,11 +47,13 @@ from __future__ import annotations
 import re
 import struct
 import sys
-from fractions import Fraction
 from functools import reduce
 from itertools import compress, count
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: The exchange key of a monomial: (x, y, q, ((z index, exponent), ...)).
 Monomial = tuple[int, int, int, tuple[tuple[int, int], ...]]
@@ -243,10 +245,11 @@ class MultiPoly:
         straight into one term dict, the smaller factor in the outer loop.
         The guard bits are tested on the OR of every product key, zero
         coefficients included, so a product exponent outside its field
-        raises OverflowError even when its term cancels in the sum."""
+        raises OverflowError even when its term cancels in the sum.  A
+        factor other than a polynomial or an int raises TypeError."""
         out: dict[int, int] = {}
         for a, b in pairs:
-            ta, tb = _as_poly(a)._terms, _as_poly(b)._terms
+            ta, tb = _factor(a)._terms, _factor(b)._terms
             if len(ta) > len(tb):
                 ta, tb = tb, ta
             for ka, ca in ta.items():
@@ -337,6 +340,7 @@ class MultiPoly:
         (unlisted indices default to 1); a bare number sets every z_i.
         q = 0 is rejected when a term has a negative q exponent.
         """
+        from fractions import Fraction
         qv = Fraction(q)
         total = Fraction(0)
         for key, coeff in self._terms.items():
@@ -480,6 +484,16 @@ def _as_poly(v: object) -> MultiPoly | None:
     if isinstance(v, int):
         return _wrap({_BIAS: v})
     return None
+
+
+def _factor(v: object) -> MultiPoly:
+    """A factor of sum_of_products as a polynomial, refusing what `*`
+    refuses."""
+    poly = _as_poly(v)
+    if poly is None:
+        raise TypeError("sum_of_products factors must be polynomials or "
+                        f"integers, got {type(v).__name__!r}")
+    return poly
 
 
 class _Texts(dict):

@@ -25,8 +25,6 @@ oracle.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -582,14 +580,12 @@ def closed_form_I(n: int) -> MultiPoly:
 # -- identity catalog ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     name: str
     build: Callable[..., tuple[MultiPoly, MultiPoly]]
 
 
-@dataclass(frozen=True)
-class IdentityDef:
+class IdentityDef(NamedTuple):
     ident: str
     description: str
     arity: tuple[str, ...]
@@ -599,13 +595,22 @@ class IdentityDef:
     notes: str = ""
 
 
-@dataclass
 class IdentityReport:
-    ident: str
-    range_checked: dict
-    instances: list = field(default_factory=list)
-    counterexample: dict | None = None
-    notes: str = ""
+    __slots__ = ("ident", "range_checked", "instances", "counterexample",
+                 "notes")
+
+    def __init__(self, ident: str, range_checked: dict,
+                 instances: list | None = None,
+                 counterexample: dict | None = None, notes: str = ""):
+        self.ident = ident
+        self.range_checked = range_checked
+        self.instances = [] if instances is None else instances
+        self.counterexample = counterexample
+        self.notes = notes
+
+    def __repr__(self) -> str:
+        return "IdentityReport(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
 
     @property
     def holds(self) -> bool:
@@ -621,6 +626,7 @@ class IdentityReport:
         }
 
     def to_json_text(self) -> str:
+        import json
         return json.dumps(self.to_json(), indent=2)
 
 
@@ -875,12 +881,19 @@ def verify_identity(ident: str, max_n: int | None = None,
     oracle-built sides; the first reading that does is recorded.  The
     smallest instance where every reading fails becomes the report's
     counterexample, carrying both polynomials of the as-printed reading.
+    A range that holds no instance raises ValueError.
     """
     if ident not in _CATALOG_BY_ID:
         raise ValueError(f"unknown identity {ident!r}; valid ids: "
                          f"{', '.join(IDENTITY_IDS)}")
     defn = _CATALOG_BY_ID[ident]
     instances = _instances(defn, max_n, max_m)
+    if not instances:
+        # a report with nothing checked would read as a success
+        first = _instances(defn, None, None)[0]
+        raise ValueError(f"identity {ident} has no instance in this range; "
+                         "its first instance is " + ", ".join(
+                             f"{i} = {v}" for i, v in zip(defn.arity, first)))
     # largest first, so that one oracle walk serves every smaller instance;
     # the last failure met is then the smallest
     used_by, failure = {}, None

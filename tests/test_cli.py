@@ -237,6 +237,16 @@ class TestVerifyVerb:
                           "--max-n", "5")
         assert "max_m" not in json.loads(uncut)[0]["range"]
 
+    @pytest.mark.parametrize("argv, ident", [
+        (("--identity", "T4.1", "--max-m", "0"), "T4.1"),
+        (("--identity", "T6.1", "--max-n", "1"), "T6.1"),
+        (("--all", "--max-n", "1"), "T4.1")])
+    def test_empty_range_is_usage_error(self, capsys, argv, ident):
+        # a run that checked nothing does not report success
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"qfib: error: identity {ident} has no instance")
+
     @pytest.mark.parametrize("ident, want", [("T2.1", 0), ("T5.3", 1)])
     def test_closed_stdout_keeps_the_verdict(self, monkeypatch, tmp_path,
                                              ident, want):
@@ -399,6 +409,31 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "nonnegative" in err
+
+
+class TestStartUp:
+    def test_no_heavy_module_at_import(self):
+        # -S keeps site-wide .pth files from preloading modules, so the
+        # probe sees what importing the CLI loads on every call of any verb
+        probe = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import qfibonacci.cli\n"
+            "print(sorted(set(sys.argv[2:]) & set(sys.modules)))\n"
+            "from qfibonacci.polyring import MultiPoly\n"
+            "print(MultiPoly.parse('x^2*q + 3*y').evaluate(x=2, q=-1))\n"
+            "sys.exit(qfibonacci.cli.main(\n"
+            "    ['verify', '--identity', 'T2.1', '--max-n', '3']))\n")
+        heavy = ("dataclasses", "inspect", "fractions", "decimal", "json",
+                 "csv")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, str(ROOT / "src"), *heavy],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        loaded, value, report = proc.stdout.split("\n", 2)
+        assert (loaded, value) == ("[]", "-1")
+        assert [i["verdict"] for i in json.loads(report)[0]["instances"]] == [
+            "holds"] * 4
 
 
 # Option values for the exit-code property, good then malformed.  30 is past

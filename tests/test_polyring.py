@@ -391,6 +391,18 @@ class TestSumOfProducts:
         with pytest.raises(OverflowError):
             MultiPoly.sum_of_products([(X, Y), (big, big), (big, -big)])
 
+    @pytest.mark.parametrize("pairs, kind", [
+        ([(X, 1.5)], "float"),
+        ([("x", X)], "str"),
+        ([(X, Y), (2, None)], "NoneType"),
+    ])
+    def test_other_factor_refused(self, pairs, kind):
+        # a factor `*` refuses is refused here too, with the same exception
+        with pytest.raises(TypeError):
+            X * 1.5
+        with pytest.raises(TypeError, match=f"got '{kind}'"):
+            MultiPoly.sum_of_products(pairs)
+
 
 class TestSubstitute:
     def test_q_inverse(self):

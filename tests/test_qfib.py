@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfibonacci import permstats, qfib
+from qfibonacci import blockwords, permstats, qfib
 from qfibonacci.permstats import BoundExceeded
 from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 
@@ -412,6 +412,17 @@ class TestVerifier:
             qfib.verify_identity("T4.2")
         assert str(info.value).startswith("unknown identity 'T4.2'")
 
+    @pytest.mark.parametrize("ident, max_n, max_m, first", [
+        ("T4.1", None, 0, "m = 1, n = 1"),
+        ("T4.1", 1, None, "m = 1, n = 1"),
+        ("T6.1", 1, None, "n = 2")])
+    def test_empty_range_refused(self, ident, max_n, max_m, first):
+        # a report that checked nothing would read as holding
+        with pytest.raises(ValueError) as info:
+            qfib.verify_identity(ident, max_n=max_n, max_m=max_m)
+        assert str(info.value) == (f"identity {ident} has no instance in "
+                                   f"this range; its first instance is {first}")
+
     def test_t43a_holds_everywhere(self):
         report = qfib.verify_identity("T4.3a", max_n=10)
         assert report.holds
@@ -499,6 +510,28 @@ class TestVerifier:
         assert {"indices", "verdict", "reading"} <= set(rep["instances"][0])
         assert rep["counterexample"] is None or \
             {"indices", "lhs", "rhs"} <= set(rep["counterexample"])
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value", [
+        permstats.cycle_decomposition((2, 1)),
+        blockwords.classify_prefix("DSSD"),
+        qfib.Reading("as-printed", qfib._l23),
+        qfib.IdentityDef("T", "toy", ("n",), 0, 1, ()),
+    ])
+    def test_immutable(self, value):
+        with pytest.raises(AttributeError):
+            setattr(value, value._fields[0], value[0])
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_reports_own_their_instances(self):
+        a = qfib.IdentityReport("A", {})
+        b = qfib.IdentityReport("B", {})
+        a.instances.append({"verdict": "fails"})
+        assert (a.holds, b.holds, b.instances) == (False, True, [])
+        with pytest.raises(AttributeError):
+            a.extra = 1
 
 
 def _use(p):
