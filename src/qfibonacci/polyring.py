@@ -31,15 +31,25 @@ A monomial product is one int addition, ka + kb - 2^30.  Two fields below
 2^31 sum below 2^32 without a carry, so a product exponent that leaves its
 range sets the guard bit of its field (a q sum below -2^30 borrows, which
 sets bit 31 of field 0).  The range is checked where keys are packed (the
-constructor and ``substitute``, which raise ``OverflowError`` naming the
-field limit) and in ``sum_of_products``, through which ``*`` and ``**``
-multiply, by testing the guard bits of the OR of every product key.  A key
-decodes to the tuple (e + 2^30, a, b, f1, ..., fk), at least three fields
-long and without trailing zero z fields, which compared descending is the
-canonical term order.  Ring operations build term dicts themselves and wrap
-them unvalidated.  A polynomial maps keys to nonzero coefficients; the zero
-polynomial is the empty mapping.  All values are immutable: every
-operation returns a new polynomial.
+constructor, which raises ``OverflowError`` naming the field limit), in
+``sum_of_products``, through which ``*`` and ``**`` multiply, by testing
+the guard bits of the OR of every product key, and in ``substitute``.
+``substitute`` works on the keys themselves: it reads the fields of the
+mapped variables, range-checks each field their images change, and adds
+each change to the key in place, (new - old) << 32*i for field i.
+
+The canonical term order is q, x, y exponents descending, then the z
+exponents as a vector z1, z2, ... compared descending.  The low 96 bits of
+a key, its head, hold q, x and y; z-free keys sort on the head's fields
+repacked as the int q << 64 | x << 32 | y.  When some key has z, the keys
+are split once into head and z part (key >> 96): the distinct heads and
+the distinct z parts are each ranked once, the z parts by their decoded
+exponent vectors, and the terms sort on the two ranks.  ``terms()`` and
+``canonical_text`` share that order, and rendering builds the text of each
+head and each z part once.  Ring operations build term dicts themselves
+and wrap them unvalidated.  A polynomial maps keys to nonzero
+coefficients; the zero polynomial is the empty mapping.  All values are
+immutable: every operation returns a new polynomial.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ import struct
 import sys
 from functools import reduce
 from itertools import compress, count
-from operator import itemgetter, or_
+from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -63,6 +73,8 @@ _FACTOR_RE = re.compile(r"^(x|y|q|z[1-9][0-9]*)(?:\^(-?[0-9]+))?$")
 
 _BIAS = 1 << 30   # added to the q exponent in field 0; the key of 1
 _LIMIT = 1 << 31  # every stored field is below this
+_MASK = (1 << 32) - 1  # one field
+_HEAD = (1 << 96) - 1  # fields 0-2, the q, x and y of a key
 _RANGE = "x, y and z exponents must lie in [0, 2^31) and q in [-2^30, 2^30)"
 
 
@@ -77,13 +89,18 @@ def _pack(exps: list[int]) -> int:
     for j in range(len(exps) - 1, -1, -1):
         f = exps[j] + _BIAS if j == 0 else exps[j]
         if not 0 <= f < _LIMIT:
-            if f < 0 and j:
-                raise ValueError(f"{_name(j)} exponent {f} is negative; "
-                                 "only q is Laurent")
-            raise OverflowError(f"{_name(j)} exponent {exps[j]} is outside "
-                                f"its field: {_RANGE}")
+            _refuse(j, f)
         key = key << 32 | f
     return key
+
+
+def _refuse(j: int, f: int) -> None:
+    """Raise the error for the value f, outside [0, 2^31), of field j."""
+    if f < 0 and j:
+        raise ValueError(f"{_name(j)} exponent {f} is negative; "
+                         "only q is Laurent")
+    raise OverflowError(f"{_name(j)} exponent {f - _BIAS if j == 0 else f} "
+                        f"is outside its field: {_RANGE}")
 
 
 def _flat(key: Monomial) -> int:
@@ -104,23 +121,34 @@ def _flat(key: Monomial) -> int:
     return _pack(exps)
 
 
+def _refuse_delta(key: int, delta: dict[int, int]) -> None:
+    """Raise the error for the highest field of key that delta, changes
+    by field shift, takes outside [0, 2^31)."""
+    for shift in sorted(delta, reverse=True):
+        f = (key >> shift & _MASK) + delta[shift]
+        if not 0 <= f < _LIMIT:
+            _refuse(shift >> 5, f)
+
+
 def _fields(key: int) -> tuple[int, ...]:
-    """The fields (e + 2^30, a, b, f1, ..., fk) of a key.  "I" is the
-    native 32-bit unsigned int, hence the native byte order."""
+    """The fields of a key, from field 0 to its last nonzero one: (e + 2^30,
+    a, b, f1, ..., fk) for a monomial's key, () for 0.  "I" is the native
+    32-bit unsigned int, hence the native byte order."""
     n = (key.bit_length() + 31) >> 5
-    if n < 3:
-        n = 3
     return struct.unpack(f"{n}I", key.to_bytes(4 * n, sys.byteorder))
 
 
-def _exchange(fields: tuple[int, ...]) -> Monomial:
-    e, a, b, *z = fields
-    return (a, b, e - _BIAS, tuple((i, f) for i, f in enumerate(z, 1) if f))
+def _head_rank(head: int) -> int:
+    """The fields q + 2^30, x, y of a head (a key below 2^96) repacked
+    as q << 64 | x << 32 | y, whose int order is their canonical order."""
+    return (head & _MASK) << 64 | (head >> 32 & _MASK) << 32 | head >> 64
 
 
 def _exps(key: int) -> list[int]:
-    """The dense exponents [e, a, b, f1, ..., fk] of a key."""
+    """The dense exponents [e, a, b, f1, ..., fk] of a key, at least
+    three."""
     exps = list(_fields(key))
+    exps += [0] * (3 - len(exps))
     exps[0] -= _BIAS
     return exps
 
@@ -179,17 +207,38 @@ class MultiPoly:
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order (the order used by canonical_text),
         with exchange keys."""
-        return ((_exchange(f), c) for f, c in self._ordered())
+        order, zvecs = self._canonical()
+        zs = {z: tuple((i, f) for i, f in enumerate(v, 1) if f)
+              for z, v in zvecs.items()}
+        return (((h >> 32 & _MASK, h >> 64, (h & _MASK) - _BIAS, zs[z]), c)
+                for h, z, c in order)
 
-    def _ordered(self) -> list[tuple[tuple[int, ...], int]]:
-        """The (fields, coefficient) pairs in canonical order: q, x, y
-        exponents descending, then the z exponents as a vector z1, z2, ...
-        compared descending.  Decoded fields are in exactly that order,
-        and a key without z_i has exponent 0 there, which tuple order
-        matches: a proper prefix sorts below the longer key, whose extra
-        fields end in a positive one."""
-        return sorted(zip(map(_fields, self._terms), self._terms.values()),
-                      key=itemgetter(0), reverse=True)
+    def _canonical(self) -> tuple[list[tuple[int, int, int]],
+                                  dict[int, tuple[int, ...]]]:
+        """The terms as (head, z part, coefficient) triples in canonical
+        order, and the z vector (f1, ..., fk) of each z part.  The head
+        key & _HEAD holds q, x and y, the z part key >> 96 the z fields.
+        Canonical order is q, x, y exponents descending, then the z vector
+        compared descending; _head_rank gives the first three.  Only when
+        some key has z are the keys split.  The distinct heads are then
+        ranked by _head_rank, and the distinct z parts by their decoded
+        vectors in tuple order, which is vector order: a decoded z part
+        has no trailing zero, so a proper prefix is a vector whose missing
+        exponents are 0 and sorts below the longer one.  Terms sort on the
+        two ranks, the z part's below the head's."""
+        terms = self._terms
+        if max(terms, default=0) <= _HEAD:
+            return ([(k, 0, terms[k])
+                     for k in sorted(terms, key=_head_rank, reverse=True)],
+                    {0: ()})
+        order = [(k & _HEAD, k >> 96, c) for k, c in terms.items()]
+        zvecs = {z: _fields(z) for z in {z for _, z, _ in order}}
+        zrank = {z: r for r, z in enumerate(sorted(zvecs, key=zvecs.get))}
+        bits = len(zrank).bit_length()
+        hrank = {h: r << bits for r, h in enumerate(
+            sorted({h for h, _, _ in order}, key=_head_rank))}
+        order.sort(key=lambda t: hrank[t[0]] | zrank[t[1]], reverse=True)
+        return order, zvecs
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -289,7 +338,7 @@ class MultiPoly:
         z index at once.  Unmapped variables are fixed.  A target with
         more than one term is out of contract and rejected.
         """
-        targets: dict[str, tuple[list[int], int]] = {}
+        targets: dict[str, tuple[int, int]] = {}
         for name, val in mapping.items():
             if not _VAR_KEY_RE.fullmatch(name):
                 raise ValueError(f"unknown substitution variable {name!r}")
@@ -300,23 +349,29 @@ class MultiPoly:
             if len(poly._terms) > 1:
                 raise ValueError(f"substitution target for {name!r} is a sum, "
                                  "not a single monomial")
-            k, c = next(iter(poly._terms.items()), (_BIAS, 0))
-            targets[name] = (_exps(k), c)
+            targets[name] = next(iter(poly._terms.items()), (_BIAS, 0))
 
-        terms = [(_exps(k), c) for k, c in self._terms.items()]
-        # images[j] is the (exponents, coeff) image of the variable of
-        # field j; an unmapped variable maps to itself.
-        images = []
-        for j in range(max((len(e) for e, _ in terms), default=0)):
-            fixed = ([0] * j + [1], 1)
-            images.append(targets.get(_name(j), fixed if j < 3
-                                      else targets.get("z", fixed)))
-        width = max([3] + [len(e) for e, _ in images])
+        # Each mapped field j that some key holds, as its shift, its bias,
+        # its target's coefficient and the change one unit of its exponent
+        # makes to each field (by shift): the target's exponents minus 1 in
+        # field j.  An unmapped variable maps to itself and changes nothing.
+        maps = []
+        for j in range((max(self._terms, default=0).bit_length() + 31) >> 5):
+            target = targets.get(_name(j))
+            if target is None and j >= 3:
+                target = targets.get("z")
+            if target is None:
+                continue
+            change = dict(enumerate(_exps(target[0])))
+            change[j] = change.get(j, 0) - 1
+            maps.append((32 * j, 0 if j else _BIAS, target[1],
+                         [(32 * i, d) for i, d in change.items() if d]))
 
         out: dict[int, int] = {}
-        for exps_in, coeff in terms:
-            exps = [0] * width
-            for (te, tc), f in zip(images, exps_in):
+        for key, coeff in self._terms.items():
+            delta: dict[int, int] = {}
+            for shift, bias, tc, change in maps:
+                f = (key >> shift & _MASK) - bias
                 if not f:
                     continue
                 if f < 0 and tc not in (1, -1):  # only q is Laurent
@@ -326,9 +381,13 @@ class MultiPoly:
                     raise ValueError(f"cannot invert coefficient {tc} exactly "
                                      "when substituting q")
                 coeff *= tc ** abs(f)
-                for i, t in enumerate(te):
-                    exps[i] += f * t
-            k = _pack(exps)
+                for at, d in change:
+                    delta[at] = delta.get(at, 0) + f * d
+            k = key
+            for shift, d in delta.items():
+                if not 0 <= (key >> shift & _MASK) + d < _LIMIT:
+                    _refuse_delta(key, delta)
+                k += d << shift
             out[k] = out.get(k, 0) + coeff
         return _wrap(out)
 
@@ -368,7 +427,8 @@ class MultiPoly:
         xexp, yexp and z exponents descending; unit exponents and unit
         coefficients elided; negative q exponents written q^-k.  With
         latex, exponents are braced and products are spaces.  A call builds
-        each factor string, separator first, once per exponent or z vector.
+        each factor string, separator first, once per exponent, and the
+        text of each (q, x, y) head and each z vector once.
         """
         if not self._terms:
             return "0"
@@ -381,12 +441,15 @@ class MultiPoly:
         zname = ("z_{{{}}}" if latex else "z{}").format
         zf = _Texts(lambda i_f: sep + zname(i_f[0]) + (
             "" if i_f[1] == 1 else power.format(i_f[1]))).__getitem__
-        zs = _Texts(lambda z: "".join(
-            map(zf, zip(compress(count(1), z), filter(None, z)))))
-        out = []
-        for fields, coeff in self._ordered():
-            body = (xs[fields[1]] + ys[fields[2]] + qs[fields[0] - _BIAS]
-                    + zs[fields[3:]])
+        order, zvecs = self._canonical()
+        zs = {z: "".join(map(zf, zip(compress(count(1), v), filter(None, v))))
+              for z, v in zvecs.items()}
+        out, last = [], None
+        for h, z, coeff in order:
+            if h != last:  # terms of one head are adjacent
+                last, head = h, (xs[h >> 32 & _MASK] + ys[h >> 64]
+                                 + qs[(h & _MASK) - _BIAS])
+            body = head + zs[z]
             c = abs(coeff)
             out.append(" + " if coeff > 0 else " - ")
             out.append(body[1:] if c == 1 and body else str(c) + body)

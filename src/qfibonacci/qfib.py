@@ -873,16 +873,10 @@ def _adjudicate(defn: IdentityDef, indices: tuple[int, ...]):
     return None, sides
 
 
-def verify_identity(ident: str, max_n: int | None = None,
-                    max_m: int | None = None) -> IdentityReport:
-    """Check every cataloged reading of an identity on its index range.
-
-    An instance holds when at least one reading agrees exactly with the
-    oracle-built sides; the first reading that does is recorded.  The
-    smallest instance where every reading fails becomes the report's
-    counterexample, carrying both polynomials of the as-printed reading.
-    A range that holds no instance raises ValueError.
-    """
+def _checked_instances(ident: str, max_n: int | None, max_m: int | None,
+                       ) -> tuple[IdentityDef, list[tuple[int, ...]]]:
+    """An identity's definition and its instances in the range; an unknown
+    id or a range that holds no instance raises ValueError."""
     if ident not in _CATALOG_BY_ID:
         raise ValueError(f"unknown identity {ident!r}; valid ids: "
                          f"{', '.join(IDENTITY_IDS)}")
@@ -894,6 +888,20 @@ def verify_identity(ident: str, max_n: int | None = None,
         raise ValueError(f"identity {ident} has no instance in this range; "
                          "its first instance is " + ", ".join(
                              f"{i} = {v}" for i, v in zip(defn.arity, first)))
+    return defn, instances
+
+
+def verify_identity(ident: str, max_n: int | None = None,
+                    max_m: int | None = None) -> IdentityReport:
+    """Check every cataloged reading of an identity on its index range.
+
+    An instance holds when at least one reading agrees exactly with the
+    oracle-built sides; the first reading that does is recorded.  The
+    smallest instance where every reading fails becomes the report's
+    counterexample, carrying both polynomials of the as-printed reading.
+    A range that holds no instance raises ValueError.
+    """
+    defn, instances = _checked_instances(ident, max_n, max_m)
     # largest first, so that one oracle walk serves every smaller instance;
     # the last failure met is then the smallest
     used_by, failure = {}, None
@@ -928,6 +936,10 @@ def verify_identity(ident: str, max_n: int | None = None,
 
 def verify_all(max_n: int | None = None,
                max_m: int | None = None) -> list[IdentityReport]:
-    """Reports for the whole catalog, in catalog order."""
+    """Reports for the whole catalog, in catalog order.  Every identity's
+    range is checked before any report is built, so an empty one is
+    refused before any oracle is."""
+    for ident in IDENTITY_IDS:
+        _checked_instances(ident, max_n, max_m)
     return [verify_identity(ident, max_n=max_n, max_m=max_m)
             for ident in IDENTITY_IDS]

@@ -247,6 +247,16 @@ class TestVerifyVerb:
         assert (code, out) == (2, "")
         assert err.startswith(f"qfib: error: identity {ident} has no instance")
 
+    def test_empty_range_refused_before_any_oracle(self, capsys, monkeypatch):
+        # T4.1 is the first identity with an m index; the six before it
+        # would fill the oracle cache if their reports came first
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        code, out, err = run(capsys, "verify", "--all", "--max-n", "12",
+                             "--max-m", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("qfib: error: identity T4.1 has no instance")
+        assert qfib._oracle_cache == {}
+
     @pytest.mark.parametrize("ident, want", [("T2.1", 0), ("T5.3", 1)])
     def test_closed_stdout_keeps_the_verdict(self, monkeypatch, tmp_path,
                                              ident, want):

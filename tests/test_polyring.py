@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfibonacci import polyring
 from qfibonacci.polyring import MultiPoly, Q, X, Y, q_pow, z_var
 
 
@@ -175,6 +176,73 @@ class TestWideKeys:
         for p in (a, b, a * b):
             assert MultiPoly.parse(p.canonical_text()) == p
             assert MultiPoly.from_json_terms(p.to_json_terms()) == p
+
+
+def reference_order(p):
+    """The terms of p in canonical order by decode and sort: each exchange
+    key as the dense vector (q, x, y, z1, .., z70), sorted descending."""
+    def dense(term):
+        (x, y, q, z), _ = term
+        zs = dict(z)
+        return (q, x, y, *(zs.get(i, 0) for i in range(1, 71)))
+    return sorted(p.terms(), key=dense, reverse=True)
+
+
+def reference_text(p, latex=False):
+    """canonical_text of p joined from its one-term renderings, taken in
+    the reference order."""
+    out = ""
+    for key, c in reference_order(p):
+        text = MultiPoly({key: c}).canonical_text(latex=latex)
+        if not out:
+            out = text
+        elif text.startswith("-"):
+            out += " - " + text[1:]
+        else:
+            out += " + " + text
+    return out or "0"
+
+
+@st.composite
+def shared_head_polys(draw):
+    """Terms on one or two (x, y, q) heads, each head with several z
+    vectors over z1..z70 and possibly no z at all."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        head = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(1, 12))):
+            zidx = draw(st.lists(st.integers(1, 70), max_size=3, unique=True))
+            z = tuple((i, draw(st.integers(1, 3))) for i in zidx)
+            terms[(*head, z)] = draw(st.integers(-3, 3))
+    return MultiPoly(terms)
+
+
+any_polys = st.one_of(polys(), wide_polys(), shared_head_polys())
+
+
+class TestOrderMatchesReference:
+    """canonical_text and terms() follow the decode-and-sort order on
+    z-free keys, on z indices up to 70 and on many z vectors under one
+    head."""
+
+    @given(any_polys, any_polys)
+    @settings(deadline=None)
+    def test_terms_and_text(self, a, b):
+        for p in (a, b, a * b + b):
+            assert list(p.terms()) == reference_order(p)
+            for latex in (False, True):
+                assert p.canonical_text(latex=latex) == reference_text(
+                    p, latex)
+            assert MultiPoly.parse(p.canonical_text()) == p
+
+    def test_shared_head(self):
+        p = (T(1, x=1, z=((1, 1),)) + T(2, x=1, z=((1, 1), (70, 1)))
+             + T(-1, x=1) + T(3, x=1, z=((2, 5),)) + T(1, x=1, z=((1, 2),))
+             + T(1, q=1, z=((3, 1),)) + T(1, y=2))
+        assert p.canonical_text() == ("q*z3 + x*z1^2 + 2*x*z1*z70 + x*z1 "
+                                      "+ 3*x*z2^5 - x + y^2")
+        assert list(p.terms()) == reference_order(p)
 
 
 class TestExponentRange:
@@ -459,6 +527,107 @@ class TestSubstitute:
     def test_q_inversion_involution(self, p):
         flip = {"q": q_pow(-1)}
         assert p.substitute(flip).substitute(flip) == p
+
+
+def reference_substitute(p, mapping):
+    """p.substitute(mapping) by decoding every key into its dense
+    exponents, applying each field's image and packing the result."""
+    targets = {}
+    for name, val in mapping.items():
+        if not polyring._VAR_KEY_RE.fullmatch(name):
+            raise ValueError(f"unknown substitution variable {name!r}")
+        poly = polyring._as_poly(val)
+        if poly is None:
+            raise ValueError(f"substitution target for {name!r} must be a "
+                             "polynomial or integer")
+        if len(poly._terms) > 1:
+            raise ValueError(f"substitution target for {name!r} is a sum, "
+                             "not a single monomial")
+        k, c = next(iter(poly._terms.items()), (polyring._BIAS, 0))
+        targets[name] = (polyring._exps(k), c)
+
+    terms = [(polyring._exps(k), c) for k, c in p._terms.items()]
+    images = []
+    for j in range(max((len(e) for e, _ in terms), default=0)):
+        fixed = ([0] * j + [1], 1)
+        images.append(targets.get(polyring._name(j), fixed if j < 3
+                                  else targets.get("z", fixed)))
+    width = max([3] + [len(e) for e, _ in images])
+    out = {}
+    for exps_in, coeff in terms:
+        exps = [0] * width
+        for (te, tc), f in zip(images, exps_in):
+            if not f:
+                continue
+            if f < 0 and tc not in (1, -1):
+                if tc == 0:
+                    raise ZeroDivisionError(
+                        f"cannot raise zero target of q to {f}")
+                raise ValueError(f"cannot invert coefficient {tc} exactly "
+                                 "when substituting q")
+            coeff *= tc ** abs(f)
+            for i, t in enumerate(te):
+                exps[i] += f * t
+        k = polyring._pack(exps)
+        out[k] = out.get(k, 0) + coeff
+    return polyring._wrap(out)
+
+
+@st.composite
+def targets(draw, coeffs):
+    """A substitution target: an int, or one monomial with its coefficient
+    from coeffs and a q exponent of either sign."""
+    coeff = draw(st.sampled_from(coeffs))
+    if draw(st.booleans()):
+        return coeff
+    zidx = draw(st.lists(st.sampled_from([1, 2, 3, 58, 70]), max_size=2,
+                         unique=True))
+    return T(coeff, x=draw(st.integers(0, 4)), y=draw(st.integers(0, 4)),
+             q=draw(st.integers(-3, 3)),
+             z=tuple((i, draw(st.integers(1, 4))) for i in zidx))
+
+
+def mappings(coeffs):
+    return st.dictionaries(
+        st.sampled_from(["x", "y", "q", "z", "z1", "z2", "z3", "z58", "z70"]),
+        targets(coeffs), min_size=1, max_size=4)
+
+
+#: A polynomial and a mapping to substitute into it.  A target with
+#: coefficient 2 raises each term's coefficient to 2^f, which for the
+#: exponents of wide_polys() is an int of up to 2^29 bits, so wide
+#: polynomials are drawn with coefficients 0 and +-1 only.
+substitutions = st.one_of(
+    st.tuples(polys(), mappings([0, 1, -1, 2])),
+    st.tuples(wide_polys(), mappings([0, 1, -1])))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the exception it raises."""
+    try:
+        return f(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSubstituteMatchesReference:
+    """substitute on packed keys agrees with decode-and-pack, exceptions
+    included."""
+
+    @given(substitutions)
+    @settings(max_examples=300, deadline=None)
+    @example((T(3, x=1, z=((1, 2), (70, 1))) + T(1, y=1, z=((4, 1),)),
+              {"z": 1}))
+    @example((T(1, q=-2, z=((5, 1),)) + X, {}))
+    @example((T(1, q=-1, z=((3, 2 ** 30),)),
+              {"q": z_var(1), "z3": z_var(3) ** 2}))
+    def test_agrees(self, case):
+        # a z -> 1 image is shorter than the fields it clears, {} fixes
+        # every key, and the last example takes z1 below 0 and z3 above
+        # its field, where the higher field's OverflowError wins
+        p, mapping = case
+        assert outcome(p.substitute, mapping) == outcome(
+            reference_substitute, p, mapping)
 
 
 class TestEvaluate:
