@@ -24,7 +24,6 @@ import itertools
 import marshal
 import os
 from bisect import bisect_left, insort
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -33,9 +32,8 @@ Perm = tuple[int, ...]
 FILTER_BOUND = 9
 
 #: Largest size generated for the West classes.  Size n has F_{2n-2}
-#: members; growing it costs one pattern test with both largest values
-#: pinned per carried site of each member of size n - 1, and at most one
-#: pattern of W1-W3 backtracks at each site (see _grow).
+#: members, and growing each member of size n - 1 costs its class's rule,
+#: a few integer operations, and one tuple per child (see _grow).
 WEST_BOUND = 12
 
 #: West's three doubly-restricted classes, counted by even-index Fibonacci.
@@ -43,6 +41,15 @@ WEST_PATTERNS: dict[str, tuple[Perm, ...]] = {
     "W1": ((1, 2, 3), (2, 1, 4, 3)),
     "W2": ((1, 3, 2), (3, 2, 4, 1)),
     "W3": ((1, 3, 2), (3, 4, 1, 2)),
+}
+
+#: Each West class's succession rule: a tree node's legal gaps from its
+#: sites, the 0-based index p of its maximum and its size m >= 1 (_grow).
+WEST_RULES: dict[str, Callable[[int, int, int], int]] = {
+    "W1": lambda sites, p, m: sites if p == 0 else sites & 0b11,
+    "W2": lambda sites, p, m: sites & (1 | 1 << p + 1 | 1 << m),
+    "W3": lambda sites, p, m: sites & 1 | (1 << m + 1) - (1 << max(
+        (~sites & (1 << m + 1) - 1).bit_length(), p + 1)),
 }
 
 
@@ -361,131 +368,52 @@ def perm_from_word(word: str, orientation: str) -> Perm:
 
 # -- West's gap-insertion classes -------------------------------------------
 
-def _west_patterns(wclass: str) -> tuple[Perm, ...]:
-    try:
-        return WEST_PATTERNS[wclass]
-    except KeyError:
-        raise ValueError(f"unknown West class {wclass!r}") from None
-
-
-@lru_cache(maxsize=64)
-def _site_plan(pi: Perm) -> tuple[int, int,
-                                   tuple[tuple[int, int, int, int], ...]]:
-    """pi compiled for _contains_through: the indices top and second of its
-    largest and second-largest letters (equal for one letter), and for
-    every other index i in order the step (i, low, high, seg).  low is the
-    earlier such index whose letter is nearest below pi[i] (-1 when there
-    is none); high is the one nearest above among them and second, which
-    always qualifies.  seg counts the pinned indices before i.
-
-    While the letters chosen so far are order isomorphic to pi's part at
-    their indices, a value v fits as letter i exactly when it lies strictly
-    between the values chosen for low and high."""
-    top = pi.index(max(pi))
-    rest = [t for t in range(len(pi)) if t != top]
-    second = max(rest, key=pi.__getitem__, default=top)
-    steps = []
-    for i in rest:
-        if i != second:
-            earlier = [t for t in rest if t < i and t != second]
-            below = [t for t in earlier if pi[t] < pi[i]]
-            above = [t for t in earlier if pi[t] > pi[i]] + [second]
-            steps.append((i, max(below, key=pi.__getitem__, default=-1),
-                          min(above, key=pi.__getitem__),
-                          (i > top) + (i > second)))
-    return top, second, tuple(steps)
-
-
-def _contains_through(sigma: Perm, pi: Perm, k: int, k2: int) -> bool:
-    """True iff some occurrence of pi in sigma puts pi's largest letter at
-    position k and its second-largest letter, if it has one, at k2
-    (0-based), where sigma[k] and sigma[k2] are sigma's largest and
-    second-largest values: False at once when pi orders those two letters
-    the other way, else contains_pattern's backtrack over the other
-    letters, each letter's fit reduced to one comparison (see _site_plan)."""
-    top, second, steps = _site_plan(pi)
-    if top == second:
-        return True
-    if (top < second) != (k < k2):
-        return False
-    if not steps:
-        return True
-    m, n = len(pi), len(sigma)
-    last = len(steps) - 1
-    # letter i of segment seg lies in floors[seg] .. stops[seg] + i - 1,
-    # which leaves room for the letters up to the next pin or the end
-    if k < k2:
-        p1, p2, first, then = top, second, k, k2
-    else:
-        p1, p2, first, then = second, top, k2, k
-    floors = (0, first + 1, then + 1)
-    stops = (first - p1 + 1, then - p2 + 1, n - m + 1)
-    # chosen[-1] is the 0 below every value; the pinned values are above
-    # every other one
-    chosen = [0] * (m + 1)
-    chosen[top], chosen[second] = sigma[k], sigma[k2]
-
-    def extend(s: int, start: int) -> bool:
-        i, low, high, seg = steps[s]
-        if start < floors[seg]:
-            start = floors[seg]
-        stop = stops[seg] + i
-        lo, hi = chosen[low], chosen[high]
-        if s == last:
-            for v in sigma[start:stop]:
-                if lo < v < hi:
-                    return True
-            return False
-        for j in range(start, stop):
-            v = sigma[j]
-            if lo < v < hi:
-                chosen[i] = v
-                if extend(s + 1, j + 1):
-                    return True
-        return False
-
-    return extend(0, 0)
+def _west(table: dict, wclass: str):
+    if wclass not in table:
+        raise ValueError(f"unknown West class {wclass!r}")
+    return table[wclass]
 
 
 def _grow(sigma: Perm, sites: int,
-          pats: tuple[Perm, ...]) -> list[tuple[int, Perm, int]]:
+          rule: Callable[[int, int, int], int]) -> list[tuple[int, Perm, int]]:
     """The children of sigma, a node of the generating tree grown from the
     root () with its sites carried, inserted at the gaps in the bitmask
     sites (bit k: in front of position k): for each, the gap k that took
-    the new maximum, the child and its own sites.
+    the new maximum, the child and its own sites.  Below the root, the
+    legal gaps are rule(sites, p, m), sigma's maximum m sitting at p.
 
     A child's sites are the images of sigma's legal gaps: an illegal gap
     stays illegal in every child, because deleting the child's maximum
     turns an insertion there back into the illegal one.  The same argument
-    pins both largest values.  sigma avoids pats, so an occurrence in a
-    child uses the new maximum n; and below the root every site of sigma is
-    the image of a legal gap of sigma's parent, so the occurrence also uses
-    the old maximum n - 1, or deleting n - 1 would leave it in a legal
-    child of the parent.  n and n - 1 therefore play pi's largest and
-    second-largest letters.  The root has no old maximum, and its one
-    child is tested whole."""
-    n = len(sigma) + 1
-    if n == 1:
-        return ([(0, (1,), 0b11)] if sites & 1 and avoids_all((1,), pats)
-                else [])
-    old = sigma.index(n - 1)
-    kids = []
-    legal = 0
-    for k in range(n):
-        if sites >> k & 1:
-            cand = sigma[:k] + (n,) + sigma[k:]
-            k2 = old + (k <= old)
-            for pi in pats:
-                if _contains_through(cand, pi, k, k2):
-                    break
-            else:
-                kids.append((k, cand))
-                legal |= 1 << k
+    pins both largest values.  sigma avoids the patterns, so an occurrence
+    in a child uses the new maximum n; and below the root every site of
+    sigma is the image of a legal gap of sigma's parent, so the occurrence
+    also uses the old maximum m, or deleting m would leave it in a legal
+    child of the parent.  n and m play the pattern's two largest letters,
+    and n follows m iff k > p.  So, at a site k:
+
+    * W1.  123 needs n after m and a value before m, so k > p >= 1.  2143
+      needs n before m and a descent before n, so 2 <= k <= p.  For
+      p >= 2, sigma[0] > sigma[1], or else sigma[0], sigma[1], m would be
+      a 123.
+    * W2.  132 rules out 1 <= k <= p.  Gaps 0, p + 1 and m admit no 3241.
+      Any other site k, with p + 1 < k < m, is the image of the parent's
+      legal gap k - 1.  By induction that gap is p' + 1, so m - 1 sits at
+      k - 1, and (m, m - 1, n, sigma[k]) is a 3241.
+    * W3.  132 rules out 1 <= k <= p.  For k > p, a gap is legal iff
+      sigma[:k] > sigma[k:] and sigma[k:] descends.  Those gaps form an
+      interval [l, m] inside the sites, and l != p + 2, since sigma[:p] >
+      sigma[p + 1:] (132).  If l > p + 2, gap l - 1 is not a site, because
+      the parent's gap l - 2 being legal would make l - 1 legal here.  So
+      l = max(h, p + 1), where h is the first gap of the run of sites
+      that ends at gap m."""
+    m = len(sigma)
+    legal = rule(sites, sigma.index(m), m) if m else sites & 1
     # gaps below k keep their index, gaps from k on move up by one, and
     # gap k itself becomes both sides of the new maximum
-    return [(k, cand,
+    return [(k, sigma[:k] + (m + 1,) + sigma[k:],
              legal & ((1 << k) - 1) | (legal >> k) << (k + 1) | 1 << k)
-            for k, cand in kids]
+            for k in range(m + 1) if legal >> k & 1]
 
 
 def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
@@ -499,7 +427,7 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     insertions (see the identity verifier); the pattern test is the trusted
     arbiter.
     """
-    pats = _west_patterns(wclass)
+    pats = _west(WEST_PATTERNS, wclass)
     sigma = check_perm(sigma)
     if not avoids_all(sigma, pats):
         return []
@@ -508,38 +436,22 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     return [child for child in gaps if avoids_all(child, pats)]
 
 
-#: The root of West's generating tree, as a (sigma, sites, inv) node.
-WEST_ROOT = ((), 0b1, 0)
-
-
 def west_tree(n: int, wclass: str, visit: Callable[[Perm, int], None]) -> None:
     """Call visit(sigma, inv(sigma)) at every member sigma of the West
     class up to size n, depth first down the generating tree from (), each
     node with its sites (see _grow).  The new maximum in gap k of a size-m
     node adds m - k inversions.  No node outlives the path to it."""
-    _west_subtree(n, wclass, visit, WEST_ROOT, n + 1)
-
-
-def _west_subtree(n: int, wclass: str, visit: Callable[[Perm, int], None],
-                  node: tuple[Perm, int, int], stop: int) -> list[tuple]:
-    """west_tree's walk of node's subtree through its nodes below size
-    stop; it returns the nodes of size stop, unwalked (see split_walk)."""
-    pats = _west_patterns(wclass)
+    rule = _west(WEST_RULES, wclass)
     check_size(n, WEST_BOUND, "West class")
-    frontier: list[tuple] = []
 
     def grow(sigma: Perm, sites: int, q: int) -> None:
         m = len(sigma)
-        if m >= stop:
-            frontier.append((sigma, sites, q))
-            return
         visit(sigma, q)
         if m < n:
-            for k, child, kid_sites in _grow(sigma, sites, pats):
+            for k, child, kid_sites in _grow(sigma, sites, rule):
                 grow(child, kid_sites, q + m - k)
 
-    grow(*node)
-    return frontier
+    grow((), 0b1, 0)
 
 
 def west_class(n: int, wclass: str) -> list[Perm]:

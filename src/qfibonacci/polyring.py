@@ -336,7 +336,10 @@ class MultiPoly:
 
         Keys are 'x', 'y', 'q', a specific 'z<i>', or 'z' meaning every
         z index at once.  Unmapped variables are fixed.  A target with
-        more than one term is out of contract and rejected.
+        more than one term is out of contract and rejected.  A target with
+        coefficient c scales a term by c^|f|, f its exponent of the mapped
+        variable, unbounded: x^(2^29) under x -> 2x builds a 64 MB int.
+        The CLI's targets all have coefficient 1.
         """
         targets: dict[str, tuple[int, int]] = {}
         for name, val in mapping.items():

@@ -36,20 +36,17 @@ from .polyring import MultiPoly, q_pow
 #: nodes in 0.4-0.6 s, and a D or D' walk at 26 its 196,418 members in
 #: 0.3 s, at O(1) per layer either way (2 vCPUs, CPython 3.11).  No
 #: benchmark workload measures a larger size, so the cap stays.  The West
-#: classes take permstats.WEST_BOUND: their walk tests every carried site
-#: of every member for a pattern through the new and the old maximum, and
-#: the class sizes F_{2n-2} grow about 2.6x per step.
+#: classes take permstats.WEST_BOUND: their walk builds every member, one
+#: tuple each, and the class sizes F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
-#: The split walks (permstats.split_walk).  An oracle walk is split over two
-#: processes from size *_SPLIT_FROM on, where it takes about 35 ms alone, ten
-#: times what forking, the pipes and the merge cost (2 vCPUs, CPython 3.11).
-#: Its subtree roots, the nodes of size *_CUT or more with a smaller parent,
-#: are F_10 = 89 in both trees: the word nodes that first reach 9 or more
-#: placed elements, below 88 with fewer, and the West members of size 6,
-#: below 56.
+#: The split word walks (permstats.split_walk).  A word walk is split over
+#: two processes from size WORD_SPLIT_FROM on, where it takes about 35 ms
+#: alone, ten times what forking, the pipes and the merge cost (2 vCPUs,
+#: CPython 3.11).  Its subtree roots, the word nodes that first reach
+#: WORD_CUT = 9 or more placed elements, are F_10 = 89, below 88 with fewer.
+#: A West walk never splits: it takes 8-14 ms to size 10, 70-90 ms to 12.
 WORD_SPLIT_FROM, WORD_CUT = 22, 9
-WEST_SPLIT_FROM, WEST_CUT = 10, 6
 
 
 def fibonacci(n: int) -> int:
@@ -180,11 +177,11 @@ class Family(NamedTuple):
     over the S/D word tree, every size 0..n for the order-invariant families
     (_walked) and n alone for D and D' (_cycle_walk); down West's generating
     tree as permstats.west_tree walks it, every size 0..n (_west_walk).
-    These two share large walks with a forked child (permstats.split_walk,
-    WORD_SPLIT_FROM).  The oracle uses walk in place of the objects/weight
-    loop, which stays the reference.  Class generators and statistics are
-    looked up on their modules at call time, so wrappers installed after
-    import see every call.
+    The word walks share large walks with a forked child
+    (permstats.split_walk, WORD_SPLIT_FROM).  The oracle uses walk in place
+    of the objects/weight loop, which stays the reference.  Class generators
+    and statistics are looked up on their modules at call time, so wrappers
+    installed after import see every call.
     """
 
     objects: Callable[[int], Iterator[tuple[int, int, object]]]
@@ -256,15 +253,13 @@ def _rb(alpha):
 def _west_walk(wclass: str):
     """walk(n) tallies inv at every size 0..n in one west_tree pass."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
-            def visit(sigma: tuple, q: int) -> None:
-                tally = tallies[len(sigma)]
-                tally[q] = tally.get(q, 0) + 1
+        tallies: list[dict] = [{} for _ in range(n + 1)]
 
-            return permstats._west_subtree(n, wclass, visit, node, stop)
+        def visit(sigma: tuple, q: int) -> None:
+            tally = tallies[len(sigma)]
+            tally[q] = tally.get(q, 0) + 1
 
-        tallies = permstats.split_walk(descend, permstats.WEST_ROOT, n,
-                                       WEST_CUT, n >= WEST_SPLIT_FROM)
+        permstats.west_tree(n, wclass, visit)
         return {m: MultiPoly({(0, 0, q, ()): c for q, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
@@ -573,6 +568,7 @@ def qfib_recursive(family: str, n: int) -> MultiPoly:
 
 def closed_form_I(n: int) -> MultiPoly:
     """sum over 2k <= n of C(n-k, k) x^{n-2k} y^k q^{C(n,2)-k}."""
+    permstats.check_size(n)
     return MultiPoly({(n - 2 * k, k, _c2(n) - k, ()): comb(n - k, k)
                       for k in range(n // 2 + 1)})
 

@@ -329,26 +329,26 @@ class TestTableVerb:
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        assert main(["table", "--family", "W1", "--max-n", "10"]) == 0
+        assert main(["table", "--family", "I", "--max-n", "22"]) == 0
         out, err = capfd.readouterr()
         assert (len(forks), err) == (1, "")
         assert [line.split("\t")[0] for line in out.splitlines()] == [
-            str(n) for n in range(11)]
+            str(n) for n in range(23)]
 
     def test_memory_error_in_split_walk_exit_3(self, capsys, monkeypatch):
-        # the parent's share of the split West walk runs out of memory: the
+        # the parent's share of the split word walk runs out of memory: the
         # child is killed and reaped, and the CLI exits 3
-        parent, grow = os.getpid(), permstats._grow
+        parent, drawn = os.getpid(), permstats._drawn
 
-        def exhausted(sigma, sites, pats):
-            if os.getpid() == parent and len(sigma) >= qfib.WEST_CUT:
+        def exhausted(descend, roots, n, tickets, tallies):
+            if os.getpid() == parent:
                 raise MemoryError
-            return grow(sigma, sites, pats)
+            return drawn(descend, roots, n, tickets, tallies)
         monkeypatch.setattr(qfib, "_oracle_cache", {})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(permstats, "_grow", exhausted)
-        code, out, err = run(capsys, "table", "--family", "W1",
-                             "--max-n", "10")
+        monkeypatch.setattr(permstats, "_drawn", exhausted)
+        code, out, err = run(capsys, "table", "--family", "I",
+                             "--max-n", "22")
         assert (code, out) == (3, "")
         assert err.startswith("qfib: ") and err.count("\n") == 1
         with pytest.raises(ChildProcessError):
@@ -447,8 +447,8 @@ class TestStartUp:
 
 
 # Option values for the exit-code property, good then malformed.  30 is past
-# every enumeration bound (9, 12, 26) but cheap for a recursion; at 10 the
-# West oracle walks are split over two processes (given two CPUs).  verify
+# every enumeration bound (9, 12, 26) but cheap for a recursion; 10 walks
+# every West oracle in one process, and no word walk splits below 22.  verify
 # always gets a --max-n, and none past 4: its default ranges build oracles
 # for seconds.
 _SIZES = (("0", "1", "3", "5", "10", "30"), ("-1", "x", ""))

@@ -5,7 +5,7 @@ recomputation."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qfibonacci import permstats as ps
@@ -252,61 +252,22 @@ class TestWest:
         assert (ps.west_children(sigma, cls)
                 == [c for c in gaps if ps.avoids_all(c, pats)])
 
-    def test_site_plan(self):
-        # (top, second, steps): the indices of the two largest letters, and
-        # per other index (i, low, high, seg): the earlier unpinned index
-        # nearest below pi[i] (-1: none), the one nearest above among them
-        # and second, and the number of pinned indices before i
-        assert ps._site_plan((2, 4, 1, 3)) == (
-            1, 3, ((0, -1, 3, 0), (2, -1, 0, 1)))
-        assert ps._site_plan((3, 1, 5, 2, 4)) == (
-            2, 4, ((0, -1, 4, 0), (1, -1, 0, 0), (3, 1, 0, 1)))
-        assert ps._site_plan((4, 1, 3, 5, 2)) == (
-            3, 0, ((1, -1, 0, 1), (2, 1, 0, 1), (4, 1, 2, 2)))
-        assert ps._site_plan((2, 1)) == (0, 1, ())
-        assert ps._site_plan((1,)) == (0, 0, ())
-
-    @given(st.integers(1, 8).flatmap(
-               lambda n: st.tuples(st.permutations(range(1, n + 1)),
-                                   st.integers(0, n))),
-           st.one_of(st.sampled_from([(2, 4, 1, 3), (3, 1, 4, 2),
-                                      (3, 1, 5, 2, 4), (2, 5, 3, 1, 4),
-                                      (4, 1, 3, 5, 2)]),
-                     st.integers(1, 5).flatmap(
-                         lambda m: st.permutations(range(1, m + 1)))
-                     .map(tuple)))
-    @settings(deadline=None)
-    def test_contains_through_equals_brute_force(self, sigma_k, pi):
-        # the candidate's two largest values come in both orders: the new
-        # maximum n goes before or after n - 1
-        sigma, k = sigma_k
-        n = len(sigma) + 1
-        cand = tuple(sigma[:k]) + (n,) + tuple(sigma[k:])
-        k2 = cand.index(n - 1)
-        by_value = sorted(range(len(pi)), key=pi.__getitem__, reverse=True)
-        pins = dict(zip(by_value, (k, k2)))
-        want = any(all(idxs[t] == at for t, at in pins.items())
-                   and naive_contains([cand[i] for i in idxs], pi)
-                   for idxs in itertools.combinations(range(n), len(pi)))
-        assert ps._contains_through(cand, pi, k, k2) == want
-
     def test_grow_equals_filter_on_walk_nodes(self):
-        # every node below size 8 (children up to size 8), grown from the
-        # root with its carried sites: the two-pin verdict at each site is
-        # the whole pattern test, and each gap left out of the sites is
-        # illegal
+        # every node below size 9 (children up to size 9), grown from the
+        # root with its carried sites: the class rule's gaps are the legal
+        # ones by the whole pattern test, and each gap left out of the
+        # sites is illegal
         for cls, pats in ps.WEST_PATTERNS.items():
             todo = [((), 0b1)]
             while todo:
                 sigma, sites = todo.pop()
                 n = len(sigma) + 1
-                kids = ps._grow(sigma, sites, pats)
+                kids = ps._grow(sigma, sites, ps.WEST_RULES[cls])
                 legal = [k for k in range(n)
                          if ps.avoids_all(sigma[:k] + (n,) + sigma[k:], pats)]
-                assert [k for k, _, _ in kids] == [
-                    k for k in legal if sites >> k & 1], (cls, sigma)
+                assert [k for k, _, _ in kids] == legal, (cls, sigma)
                 assert all(sites >> k & 1 for k in legal), (cls, sigma)
-                if n < 8:
+                if n < 9:
                     todo.extend((child, s) for _, child, s in kids)
 
     def test_counts(self):

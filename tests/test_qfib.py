@@ -19,9 +19,8 @@ from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
 ONE_WALK_FAMILIES = ("I", "I'", "M", "M'", "RB", "C")
 WEST_FAMILIES = ("W1", "W2", "W3")
-# the two sizes from which each walk is split
-SPLIT_SIZES = [*((f, n) for f in ONE_WALK_FAMILIES for n in (22, 23)),
-               *((f, n) for f in WEST_FAMILIES for n in (10, 11))]
+# the two sizes from which each word walk is split
+SPLIT_SIZES = [(f, n) for f in ONE_WALK_FAMILIES for n in (22, 23)]
 
 
 def P(text):
@@ -212,7 +211,6 @@ class TestSplitWalk:
     @pytest.mark.parametrize("family, n", SPLIT_SIZES)
     def test_split_equals_serial(self, monkeypatch, family, n):
         walk = qfib.FAMILY[family].walk
-        cut = qfib.WEST_CUT if family in WEST_FAMILIES else qfib.WORD_CUT
         forks = count_forks(monkeypatch)
         calls = record_descents(monkeypatch)
         drawn = record_drawn(monkeypatch)
@@ -221,7 +219,7 @@ class TestSplitWalk:
         # the roots, then the parent's share and no fallback walk, so the
         # child took the rest
         assert len(calls[0][2]) == 89 and len(forks) == 1
-        assert deep_walks(calls, cut, n) == drawn
+        assert deep_walks(calls, qfib.WORD_CUT, n) == drawn
         calls.clear()
         set_cpus(monkeypatch, (0,))
         assert walk(n) == split
@@ -231,9 +229,11 @@ class TestSplitWalk:
 
     @pytest.mark.parametrize("family, n, cpus", [
         ("I", 21, (0, 1)), ("W1", 9, (0, 1)), ("I", 22, (0,)),
-        ("W1", 10, (0,)), ("I", 22, None), ("W1", 10, None)])
+        ("W1", 10, (0,)), ("I", 22, None), ("W1", 10, None),
+        ("W3", 12, (0, 1))])
     def test_serial_walks_never_fork(self, monkeypatch, family, n, cpus):
-        # below the split sizes, on one CPU, and without sched_getaffinity
+        # below the split sizes, on one CPU, without sched_getaffinity, and
+        # the West walks at any size
         def fork():
             raise AssertionError("forked")
         monkeypatch.setattr(os, "fork", fork)
@@ -243,12 +243,11 @@ class TestSplitWalk:
             set_cpus(monkeypatch, cpus)
         assert list(qfib.FAMILY[family].walk(n)) == list(range(n + 1))
 
-    @pytest.mark.parametrize("family, n", [("M", 22), ("W2", 10)])
+    @pytest.mark.parametrize("family, n", [("M", 22)])
     def test_failed_child_leaves_the_result(self, monkeypatch, family, n):
         # the child inherits the refusing marshal and exits nonzero, and the
         # parent walks the roots it had not taken
         walk = qfib.FAMILY[family].walk
-        cut = qfib.WEST_CUT if family in WEST_FAMILIES else qfib.WORD_CUT
         set_cpus(monkeypatch, (0,))
         serial = walk(n)
 
@@ -261,7 +260,7 @@ class TestSplitWalk:
         set_cpus(monkeypatch, (0, 1))
         assert walk(n) == serial
         assert len(forks) == 1
-        assert sorted(deep_walks(calls, cut, n)) == list(range(89))
+        assert sorted(deep_walks(calls, qfib.WORD_CUT, n)) == list(range(89))
         assert_no_child()
 
     def test_toy_descend_counts_words(self):
@@ -379,6 +378,12 @@ class TestClosedForm:
     def test_matches_oracle(self):
         for n in range(11):
             assert qfib.closed_form_I(n) == qfib.qfib_oracle("I", n)
+
+    def test_negative_size(self):
+        # refused as the oracle and fibonacci refuse it, not read as zero
+        for n in (-1, -4):
+            with pytest.raises(ValueError, match="nonnegative"):
+                qfib.closed_form_I(n)
 
 
 class TestCatalog:
