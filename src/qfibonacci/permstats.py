@@ -478,12 +478,13 @@ def split_walk(descend: Descend, root: tuple, n: int, cut: int,
     this process and, when big is true and the platform can fork onto a
     second CPU, one forked child.
 
-    descend(node, stop, tallies) walks node's subtree depth first, counts
-    every node of size m < stop into tallies[m], and returns the unwalked
-    nodes of size >= stop whose parent is smaller, in depth-first order.
-    Split, descend(root, cut, ...) gives the roots, whose subtrees partition
-    the rest; each process walks the root of each ticket it draws from a
-    pipe, so a slower CPU takes fewer.  The child sends back, with marshal,
+    descend(node, stop, tallies) walks node's subtree, counts every node of
+    size m < stop into tallies[m], and returns the unwalked nodes of size
+    >= stop whose parent is smaller, in a fixed order.  descend(root, cut,
+    ...) gives the roots, whose subtrees partition the rest, and a walk holds
+    one root's subtree at a time.  Alone, this process walks every root;
+    split, each process walks the root of each ticket it draws from a pipe,
+    so a slower CPU takes fewer.  The child sends back, with marshal,
     its counts of sizes >= cut and how many roots it took, and leaves by
     os._exit, so no buffered output is written twice.  Unless it exits 0
     having taken every root the parent did not, the parent walks those too
@@ -492,8 +493,10 @@ def split_walk(descend: Descend, root: tuple, n: int, cut: int,
     tallies: Tallies = [{} for _ in range(n + 1)]
     split = (big and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              and len(os.sched_getaffinity(0)) >= 2)
-    roots = descend(root, cut if split else n + 1, tallies)
-    if not roots:
+    roots = descend(root, cut, tallies)
+    if not (split and roots):
+        for node in roots:
+            descend(node, n + 1, tallies)
         return tallies
     read_end, write_end = os.pipe()
     with open(read_end, "rb", buffering=0) as tickets:

@@ -14,7 +14,7 @@ Families (polynomial index n = size of the underlying objects):
 
 Each family is declared once, in the FAMILY table: its class, statistic,
 oracle bound and printed recursion.  The oracles visit every member of the
-defining combinatorial class by a depth-first walk that computes the
+defining combinatorial class by a walk that computes the
 statistic step by step from the values placed: over the S/D words for the
 word families, down West's generating tree for W1-W3.  Recursions and
 identities are hypotheses checked against them.  Several
@@ -25,6 +25,7 @@ oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -33,18 +34,19 @@ from .polyring import MultiPoly, q_pow
 
 #: Oracle size cap of the word-structured classes (the T4.5 suite touches
 #: index 25).  Their walks visit every word: one walk to 26 passes 514,228
-#: nodes in 0.4-0.6 s, and a D or D' walk at 26 its 196,418 members in
-#: 0.3 s, at O(1) per layer either way (2 vCPUs, CPython 3.11).  No
-#: benchmark workload measures a larger size, so the cap stays.  The West
-#: classes take permstats.WEST_BOUND: their walk builds every member, one
-#: tuple each, and the class sizes F_{2n-2} grow about 2.6x per step.
+#: nodes in 0.1-0.17 s and a D or D' walk at 26 its 196,418 members in
+#: 0.2-0.35 s, on one CPU (CPython 3.11, 2-vCPU host).  No benchmark
+#: workload measures a larger size, so the cap stays.  The West classes take
+#: permstats.WEST_BOUND: their walk builds every member, one tuple each, and
+#: the class sizes F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
 #: The split word walks (permstats.split_walk).  A word walk is split over
-#: two processes from size WORD_SPLIT_FROM on, where it takes about 35 ms
-#: alone, ten times what forking, the pipes and the merge cost (2 vCPUs,
-#: CPython 3.11).  Its subtree roots, the word nodes that first reach
-#: WORD_CUT = 9 or more placed elements, are F_10 = 89, below 88 with fewer.
+#: two processes from size WORD_SPLIT_FROM on, where the I walk takes 20-35
+#: ms alone and 12-20 ms split; below it a walk takes 8-30 ms, and a split
+#: saved from nothing to 40% of that (CPython 3.11, 2-vCPU host).  Its
+#: subtree roots, the word nodes that first reach WORD_CUT = 9 or more placed
+#: elements, are F_10 = 89, below 88 with fewer; a walk alone cuts there too.
 #: A West walk never splits: it takes 8-14 ms to size 10, 70-90 ms to 12.
 WORD_SPLIT_FROM, WORD_CUT = 22, 9
 
@@ -173,10 +175,10 @@ class Family(NamedTuple):
     the defining class at size n; weight(object) is its (q exponent, z
     exponents).  recursion is the printed right-hand side (None when there
     is none) and bases holds the values at the sizes it does not cover.
-    walk(n) maps sizes to polynomials from one depth-first pass to size n:
-    over the S/D word tree, every size 0..n for the order-invariant families
-    (_walked) and n alone for D and D' (_cycle_walk); down West's generating
-    tree as permstats.west_tree walks it, every size 0..n (_west_walk).
+    walk(n) maps sizes to polynomials from one pass to size n: over the S/D
+    word tree, level by level to every size 0..n for the order-invariant
+    families (_walked) and depth first to n alone for D and D' (_cycle_walk);
+    down West's generating tree, every size 0..n (_west_walk).
     The word walks share large walks with a forked child
     (permstats.split_walk, WORD_SPLIT_FROM).  The oracle uses walk in place
     of the objects/weight loop, which stays the reference.  Class generators
@@ -268,17 +270,19 @@ def _west_walk(wclass: str):
 # -- the word walks ------------------------------------------------------------
 #
 # A member of a word family is a word over {S, D}, read layer by layer.  The
-# walks append layers depth first and update the statistic from the actual
-# values each layer places, at O(1) per layer.
+# walks append layers and update the statistic from the actual values each
+# layer places, at O(1) per node and layer.
 #
 # _walked serves the families whose steps read values only by comparing them
 # (I, I', M, M', RB, C).  The first m values a walk to size n places are order
 # isomorphic to the size-m member with the same letters: reverse-layered
 # layers take the highest values left, and layered and partition layers do
 # not depend on n.  So each node at depth m is a size-m member, and one walk
-# to n tallies every size 0..n.  The placed values of every prefix form an
-# interval, so a step(buf, left, size, low) sees the new layer in
-# buf[left:left + size] after the placed values low..low + left - 1.
+# to n tallies every size 0..n.  It goes a level at a time, one column per
+# node field.  The placed values of a node form the interval low..low +
+# left - 1, so a step(left, vals, prevs, lows) compares the new layer vals
+# with each node's own last placed value prev and its low, and returns one
+# increment per node.
 #
 # _cycle_walk serves D and D', whose cycles read actual values, one size per
 # walk.  It keeps the partial map i -> p_i as open paths (_paths) and marks a
@@ -290,39 +294,41 @@ def _walked(values, step):
     the layer of that size after left placed elements, and the statistic of
     a member is the sum of the steps along its word.  walk(n) maps every
     size 0..n to its polynomial.  Its nodes for permstats.split_walk are
-    (left, d, q, low, placed values)."""
+    (left, key, low, prev): the packed key d << 16 | q, the least placed
+    value and the last one."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        layers: list[list[tuple]] = [[] for _ in range(n + 1)]
-        for left in range(n + 1):
-            for size in (1, 2):
-                if left + size <= n:
-                    vals = values(n, left, size)
-                    layers[left].append((size, vals, min(vals)))
-        buf = [0] * n
+        layers = [[(size, values(n, left, size)) for size in (1, 2)
+                   if left + size <= n] for left in range(n + 1)]
 
         def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
-            frontier: list[tuple] = []
-
-            def grow(left: int, d: int, q: int, low: int) -> None:
-                if left >= stop:
-                    frontier.append((left, d, q, low, buf[:left]))
-                    return
+            start, end = node[0], min(stop, n + 1)
+            # the key, low and prev columns of the nodes of each size; every
+            # statistic is at most C(n, 2), far below the 2^16 of a key's q
+            columns = {m: ([], [], []) for m in range(start + 1, end)}
+            columns[start] = [node[1]], [node[2]], [node[3]]
+            frontier = [node] if start >= stop else []
+            for left in range(start, end):
+                keys, lows, prevs = columns.pop(left)
                 tally = tallies[left]
-                tally[d, q] = tally.get((d, q), 0) + 1
-                for size, vals, least in layers[left]:
-                    buf[left:left + size] = vals
-                    grow(left + size, d + size - 1,
-                         q + step(buf, left, size, low),
-                         least if least < low else low)
-
-            buf[:node[0]] = node[4]     # the placed values
-            grow(*node[:4])
+                for key, c in Counter(keys).items():
+                    tally[key] = tally.get(key, 0) + c
+                for size, vals in layers[left]:
+                    shift, least = size - 1 << 16, min(vals)
+                    kids = ([k + shift + i for k, i in
+                             zip(keys, step(left, vals, prevs, lows))],
+                            [least if least < low else low for low in lows],
+                            [vals[-1]] * len(keys))
+                    if left + size < stop:
+                        for column, new in zip(columns[left + size], kids):
+                            column += new
+                    else:
+                        frontier += zip([left + size] * len(keys), *kids)
             return frontier
 
-        tallies = permstats.split_walk(descend, (0, 0, 0, n + 1, []), n,
+        tallies = permstats.split_walk(descend, (0, 0, n + 1, 0), n,
                                        WORD_CUT, n >= WORD_SPLIT_FROM)
-        return {m: MultiPoly({(m - 2 * d, d, q, ()): c
-                              for (d, q), c in tally.items()})
+        return {m: MultiPoly({(m - 2 * (k >> 16), k >> 16, k & 0xFFFF, ()): c
+                              for k, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
 
@@ -431,36 +437,35 @@ def _partition_layers(n: int, left: int, size: int):
     return partitions.layer_block(left, size)
 
 
-def _inv_step(buf, left, size, low):
+def _inv_step(left, vals, prevs, lows):
     """Inversions the layer adds: a new value below the placed interval is
     inverted with every placed value, one above it with none; plus the pair
     inside a doubleton."""
-    a = buf[left]
-    total = left if a < low else 0
-    if size == 2:
-        b = buf[left + 1]
-        total += (left if b < low else 0) + (a > b)
-    return total
+    a, b = vals[0], vals[-1]
+    if len(vals) == 1:
+        return [left if a < low else 0 for low in lows]
+    return [(left if a < low else 0) + (left if b < low else 0) + (a > b)
+            for low in lows]
 
 
-def _maj_step(buf, left, size, low):
+def _maj_step(left, vals, prevs, lows):
     """Descents the layer adds, at their 1-based positions: at the junction
     with the placed values and inside a doubleton."""
-    total = left if left and buf[left - 1] > buf[left] else 0
-    if size == 2 and buf[left] > buf[left + 1]:
-        total += left + 1
-    return total
+    a = vals[0]
+    inside = left + 1 if len(vals) == 2 and a > vals[1] else 0
+    return [(left if prev > a else 0) + inside for prev in prevs]
 
 
-def _rb_step(buf, left, size, low):
+def _rb_step(left, vals, prevs, lows):
     """Placed elements below the new block's maximum: all of the placed
     interval when the maximum lies above it, else none."""
-    return left if max(buf[left:left + size]) > low else 0
+    top = max(vals)
+    return [left if top > low else 0 for low in lows]
 
 
-def _morse_step(buf, left, size, low):
+def _morse_step(left, vals, prevs, lows):
     """Cigler's score: a dash scores the length before it plus one."""
-    return left + 1 if size == 2 else 0
+    return [left + 1 if len(vals) == 2 else 0] * len(lows)
 
 
 _REVERSE, _LAYERED = _perm_layers("reverse-layered"), _perm_layers("layered")

@@ -70,13 +70,24 @@ class TestWalk:
         assert all(callable(fam.walk) for fam in qfib.FAMILY.values())
         assert set(qfib.FAMILY) == {*WORD_FAMILIES, *WEST_FAMILIES}
 
-    def test_one_walk_serves_every_size(self):
-        # the order-invariant families tally every depth of one walk
+    def test_one_walk_serves_every_size(self, monkeypatch):
+        # the order-invariant families tally every depth of one walk, alone
+        # and split, from every cut: at 0 the root is the one root, past n
+        # there is none, and between them a doubleton carries nodes past it
+        monkeypatch.setattr(qfib, "WORD_SPLIT_FROM", 0)
+        forks = count_forks(monkeypatch)
         for fam in ONE_WALK_FAMILIES:
-            polys = qfib.FAMILY[fam].walk(16)
-            assert list(polys) == list(range(17)), fam
-            for n in range(17):
-                assert polys[n] == qfib._brute_force(fam, n), (fam, n)
+            want = [qfib._brute_force(fam, n) for n in range(17)]
+            for cut in (0, 1, 5, 9, 16, 17):
+                monkeypatch.setattr(qfib, "WORD_CUT", cut)
+                for cpus in ((0,), (0, 1)):
+                    set_cpus(monkeypatch, cpus)
+                    polys = qfib.FAMILY[fam].walk(16)
+                    assert list(polys) == list(range(17)), (fam, cut, cpus)
+                    assert list(polys.values()) == want, (fam, cut, cpus)
+        # every cut but 17 leaves roots to share
+        assert len(forks) == 5 * len(ONE_WALK_FAMILIES)
+        assert_no_child()
 
     def test_west_walk_serves_every_size(self):
         # one walk down the generating tree tallies every depth; the class
@@ -223,7 +234,8 @@ class TestSplitWalk:
         calls.clear()
         set_cpus(monkeypatch, (0,))
         assert walk(n) == split
-        assert [stop for stop, _, _ in calls] == [n + 1]
+        # alone, the same cut, then each root's subtree in turn
+        assert deep_walks(calls, qfib.WORD_CUT, n) == list(range(89))
         assert len(forks) == 1
         assert_no_child()
 
