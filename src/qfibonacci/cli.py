@@ -150,7 +150,12 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     if cls in permstats.WEST_PATTERNS:
         members = permstats.west_class(args.n, cls)
     else:
-        members = permstats.enumerate_avoiders(args.n, _parse_perm_patterns(cls))
+        try:
+            pats = _parse_perm_patterns(cls)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; --class also takes a West class "
+                             "name, W1, W2 or W3") from None
+        members = permstats.enumerate_avoiders(args.n, pats)
     if args.format == "json":
         import json
         return 0, [json.dumps([list(p) for p in members]) + "\n"]

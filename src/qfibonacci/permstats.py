@@ -24,6 +24,7 @@ import itertools
 import marshal
 import os
 from bisect import bisect_left, insort
+from collections import Counter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -82,12 +83,17 @@ def perm_to_text(p: Sequence[int]) -> str:
 
 
 def perm_from_text(text: str) -> Perm:
+    """A permutation in one-line notation: a digit string, or values
+    separated by spaces or commas."""
     s = text.strip()
     if not s:
         return ()
-    if " " in s or "," in s:
-        return check_perm(int(t) for t in s.replace(",", " ").split())
-    return check_perm(int(ch) for ch in s)
+    values = s.replace(",", " ").split() if " " in s or "," in s else list(s)
+    if not all(v.isdecimal() for v in values):
+        raise ValueError(f"{s!r} is not a permutation: write its values as "
+                         "a digit string such as 132, or separated by "
+                         "spaces or commas")
+    return check_perm(int(v) for v in values)
 
 
 # -- statistics ---------------------------------------------------------
@@ -468,32 +474,40 @@ def west_class(n: int, wclass: str) -> list[Perm]:
 
 # -- walks split over two processes -------------------------------------------
 
-Tallies = list[dict]
+Tallies = list[Counter]
 Descend = Callable[[tuple, int, Tallies], list]
+
+#: A walk to n that does not split goes through the subtrees of the nodes
+#: that first reach size n - SERIAL_DEPTH, one at a time: in a word tree a
+#: level of such a subtree holds at most F_12 = 233 nodes, where a whole
+#: level at 26 holds F_26 = 196,418.  A split walk cuts where its caller
+#: says, to share the subtrees out.
+SERIAL_DEPTH = 12
 
 
 def split_walk(descend: Descend, root: tuple, n: int, cut: int,
                big: bool) -> Tallies:
-    """The counts of a tree walk to size n, one dict per node size, from
+    """The counts of a tree walk to size n, one Counter per node size, from
     this process and, when big is true and the platform can fork onto a
     second CPU, one forked child.
 
     descend(node, stop, tallies) walks node's subtree, counts every node of
     size m < stop into tallies[m], and returns the unwalked nodes of size
-    >= stop whose parent is smaller, in a fixed order.  descend(root, cut,
+    >= stop whose parent is smaller, in a fixed order.  descend(root, c,
     ...) gives the roots, whose subtrees partition the rest, and a walk holds
-    one root's subtree at a time.  Alone, this process walks every root;
-    split, each process walks the root of each ticket it draws from a pipe,
-    so a slower CPU takes fewer.  The child sends back, with marshal,
-    its counts of sizes >= cut and how many roots it took, and leaves by
+    one root's subtree at a time.  Alone, this process cuts at c = n -
+    SERIAL_DEPTH (or 0) and walks every root.  Split, it cuts at c = cut,
+    and each process walks the root of each ticket it draws from a pipe, so
+    a slower CPU takes fewer.  The child sends back, with marshal, its
+    counts of sizes >= cut and how many roots it took, and leaves by
     os._exit, so no buffered output is written twice.  Unless it exits 0
     having taken every root the parent did not, the parent walks those too
     (every root, when os.fork fails).  If the parent's share raises, the
     child is killed and reaped."""
-    tallies: Tallies = [{} for _ in range(n + 1)]
+    tallies: Tallies = [Counter() for _ in range(n + 1)]
     split = (big and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              and len(os.sched_getaffinity(0)) >= 2)
-    roots = descend(root, cut, tallies)
+    roots = descend(root, cut if split else max(n - SERIAL_DEPTH, 0), tallies)
     if not (split and roots):
         for node in roots:
             descend(node, n + 1, tallies)
@@ -514,9 +528,10 @@ def split_walk(descend: Descend, root: tuple, n: int, cut: int,
                 # the child: on any exception it exits 1, writing nothing
                 code = 1
                 try:
-                    own: Tallies = [{} for _ in range(n + 1)]
+                    own: Tallies = [Counter() for _ in range(n + 1)]
                     taken = len(_drawn(descend, roots, n, tickets, own))
-                    sink.write(marshal.dumps([own[cut:], taken]))
+                    sink.write(marshal.dumps([[dict(t) for t in own[cut:]],
+                                              taken]))
                     sink.flush()
                     code = 0
                 finally:
@@ -536,8 +551,7 @@ def split_walk(descend: Descend, root: tuple, n: int, cut: int,
         theirs, taken = marshal.loads(data)
         if len(mine) + taken == len(roots):
             for tally, their in zip(tallies[cut:], theirs):
-                for key, c in their.items():
-                    tally[key] = tally.get(key, 0) + c
+                tally.update(their)
             return tallies
     for k, node in enumerate(roots):
         if k not in mine:

@@ -14,13 +14,12 @@ Families (polynomial index n = size of the underlying objects):
 
 Each family is declared once, in the FAMILY table: its class, statistic,
 oracle bound and printed recursion.  The oracles visit every member of the
-defining combinatorial class by a walk that computes the
-statistic step by step from the values placed: over the S/D words for the
-word families, down West's generating tree for W1-W3.  Recursions and
-identities are hypotheses checked against them.  Several
-printed statements carry typos, so the verifier evaluates cataloged variant
-readings per instance and reports which reading, if any, agrees with the
-oracle.
+defining combinatorial class by a walk that computes the statistic step by
+step: over the S/D words for the word families, down West's generating tree
+for W1-W3.  Recursions and identities are hypotheses checked against them.
+Several printed statements carry typos, so the verifier evaluates cataloged
+variant readings per instance and reports which reading, if any, agrees
+with the oracle.
 """
 
 from __future__ import annotations
@@ -33,21 +32,24 @@ from . import blockwords, partitions, permstats
 from .polyring import MultiPoly, q_pow
 
 #: Oracle size cap of the word-structured classes (the T4.5 suite touches
-#: index 25).  Their walks visit every word: one walk to 26 passes 514,228
-#: nodes in 0.1-0.17 s and a D or D' walk at 26 its 196,418 members in
-#: 0.2-0.35 s, on one CPU (CPython 3.11, 2-vCPU host).  No benchmark
-#: workload measures a larger size, so the cap stays.  The West classes take
-#: permstats.WEST_BOUND: their walk builds every member, one tuple each, and
-#: the class sizes F_{2n-2} grow about 2.6x per step.
+#: index 25).  Their walks visit every word: one walk to 26 passes its
+#: 514,228 nodes, 196,418 of them members of size 26, in 0.15-0.28 s for I
+#: and D and 0.19-0.35 s for D' on one CPU, and in 0.09-0.14 s split over
+#: two (CPython 3.11, 2-vCPU host).  No benchmark workload measures a larger
+#: size, so the cap stays.  The West classes take permstats.WEST_BOUND:
+#: their walk builds every member, one tuple each, and the class sizes
+#: F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
 #: The split word walks (permstats.split_walk).  A word walk is split over
-#: two processes from size WORD_SPLIT_FROM on, where the I walk takes 20-35
-#: ms alone and 12-20 ms split; below it a walk takes 8-30 ms, and a split
-#: saved from nothing to 40% of that (CPython 3.11, 2-vCPU host).  Its
-#: subtree roots, the word nodes that first reach WORD_CUT = 9 or more placed
-#: elements, are F_10 = 89, below 88 with fewer; a walk alone cuts there too.
-#: A West walk never splits: it takes 8-14 ms to size 10, 70-90 ms to 12.
+#: two processes from size WORD_SPLIT_FROM on.  At 22 a walk of I or D takes
+#: about 22 ms alone or split, one of D' 31-39 ms alone and 31-32 ms split;
+#: a split saves 10-15% at 23 and a third at 26, and below 22 it costs more
+#: than it saves (CPython 3.11, 2-vCPU host).  Its subtree roots, the word
+#: nodes that first reach WORD_CUT = 9 or more placed elements, are F_10 =
+#: 89, below 88 with fewer.  A walk alone cuts at n - permstats.SERIAL_DEPTH
+#: instead.  A West walk never splits: it takes 8-14 ms to size 10, 70-90 ms
+#: to 12.
 WORD_SPLIT_FROM, WORD_CUT = 22, 9
 
 
@@ -175,15 +177,16 @@ class Family(NamedTuple):
     the defining class at size n; weight(object) is its (q exponent, z
     exponents).  recursion is the printed right-hand side (None when there
     is none) and bases holds the values at the sizes it does not cover.
-    walk(n) maps sizes to polynomials from one pass to size n: over the S/D
-    word tree, level by level to every size 0..n for the order-invariant
-    families (_walked) and depth first to n alone for D and D' (_cycle_walk);
-    down West's generating tree, every size 0..n (_west_walk).
-    The word walks share large walks with a forked child
-    (permstats.split_walk, WORD_SPLIT_FROM).  The oracle uses walk in place
-    of the objects/weight loop, which stays the reference.  Class generators
-    and statistics are looked up on their modules at call time, so wrappers
-    installed after import see every call.
+    walk(n) maps every size 0..n to its polynomial from one pass to size n:
+    a level at a time over the S/D word tree, appending layers for the
+    order-invariant families (_walked) and folding the word from both ends
+    for D and D' (_folded); depth first down West's generating tree for
+    W1-W3 (_west_walk).  Every word walk goes through permstats.split_walk,
+    which shares large walks with a forked child (WORD_SPLIT_FROM).  The
+    oracle uses walk in place of the objects/weight loop, which stays the
+    reference.  Class generators and statistics are looked up on their
+    modules at call time, so wrappers installed after import see every
+    call.
     """
 
     objects: Callable[[int], Iterator[tuple[int, int, object]]]
@@ -269,144 +272,204 @@ def _west_walk(wclass: str):
 
 # -- the word walks ------------------------------------------------------------
 #
-# A member of a word family is a word over {S, D}, read layer by layer.  The
-# walks append layers and update the statistic from the actual values each
-# layer places, at O(1) per node and layer.
+# A member of a word family is a word over {S, D}.  The walks grow words a
+# letter at a time down a tree whose nodes of size m are the members of size
+# m, so one walk to n tallies every size 0..n.  They go a level at a time
+# (_level_walk): a level holds one column per node field, and each letter
+# builds its children's columns with one comprehension per field, at O(1)
+# per node.
 #
 # _walked serves the families whose steps read values only by comparing them
-# (I, I', M, M', RB, C).  The first m values a walk to size n places are order
-# isomorphic to the size-m member with the same letters: reverse-layered
-# layers take the highest values left, and layered and partition layers do
-# not depend on n.  So each node at depth m is a size-m member, and one walk
-# to n tallies every size 0..n.  It goes a level at a time, one column per
-# node field.  The placed values of a node form the interval low..low +
-# left - 1, so a step(left, vals, prevs, lows) compares the new layer vals
-# with each node's own last placed value prev and its low, and returns one
-# increment per node.
+# (I, I', M, M', RB, C).  It appends layers on the right.  The first m values
+# a walk to size n places are order isomorphic to the size-m member with the
+# same letters: reverse-layered layers take the highest values left, and
+# layered and partition layers do not depend on n.  The placed values of a
+# node form the interval low..low + left - 1, so a step(left, vals, prevs,
+# lows) compares the new layer vals with each node's own last placed value
+# prev and its low, and returns one increment per node.
 #
-# _cycle_walk serves D and D', whose cycles read actual values, one size per
-# walk.  It keeps the partial map i -> p_i as open paths (_paths) and marks a
-# cycle when an edge closes one.
+# _folded serves D and D', whose cycles read actual values.  The reverse
+# layered matching of a word of size n is R L_w, where R maps i to n + 1 - i
+# and L_w swaps the two positions of each doubleton.  So its cycles are the
+# components of a ladder on the positions: rungs join i and n + 1 - i, rails
+# the two positions of a doubleton.  A component of k positions that holds a
+# fixed point of R or L_w (a singleton, or the middle position of an odd n)
+# is a path and one k-cycle; one without is a ring of 2j positions and two
+# j-cycles.  The walk folds the word: it grows it from both ends, the end
+# with fewer positions taking the next letter (the left end on a tie), so
+# each rung it places joins the i-th positions from the two ends whatever
+# the size.  The longer end overhangs the shorter by 0, 1 or 2 positions,
+# and a node of size m is the member of size m once its overhang is closed
+# through the middle, where R fixes one position or swaps two.  A node
+# carries its overhang h and the length k of the one open path, which runs
+# from the overhang to a singleton (k = 0 unless h = 1; with h = 2 the
+# overhang is one doubleton); _FOLD steps them.  No step reads
+# classify_prefix, the printed recursions or the block-word weights, so T5.3
+# and T5.4 still compare independent computations.
+
+
+def _level_walk(n: int, root: tuple, empty, expand):
+    """The tallies of a word walk to n through permstats.split_walk, a level
+    at a time.  empty() is a level with no node: for each slot, one empty
+    column per node field.  A node is (size, slot, *fields).  expand(m,
+    level, tally) counts the level's nodes, of size m, into tally and yields
+    (letter size, slot, columns) for their children, of size at most n."""
+    def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
+        start, end = node[0], min(stop, n + 1)
+        if start >= stop:
+            return [node]
+        levels = {m: empty() for m in range(start, end)}
+        for column, value in zip(levels[start][node[1]], node[2:]):
+            column.append(value)
+        frontier = []
+        for m in range(start, end):
+            for size, slot, kids in expand(m, levels.pop(m), tallies[m]):
+                if m + size < stop:
+                    for column, new in zip(levels[m + size][slot], kids):
+                        column += new
+                else:
+                    # a doubleton can carry a node one past stop
+                    count = len(kids[0])
+                    frontier += zip([m + size] * count, [slot] * count, *kids)
+        return frontier
+
+    return permstats.split_walk(descend, root, n, WORD_CUT,
+                                n >= WORD_SPLIT_FROM)
 
 
 def _walked(values, step):
     """The walk of an order-invariant word family.  values(n, left, size) is
     the layer of that size after left placed elements, and the statistic of
     a member is the sum of the steps along its word.  walk(n) maps every
-    size 0..n to its polynomial.  Its nodes for permstats.split_walk are
-    (left, key, low, prev): the packed key d << 16 | q, the least placed
-    value and the last one."""
+    size 0..n to its polynomial.  A node is (left, 0, key, low, prev): the
+    packed key d << 16 | q, the least placed value and the last one."""
     def walk(n: int) -> dict[int, MultiPoly]:
         layers = [[(size, values(n, left, size)) for size in (1, 2)
                    if left + size <= n] for left in range(n + 1)]
 
-        def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
-            start, end = node[0], min(stop, n + 1)
-            # the key, low and prev columns of the nodes of each size; every
-            # statistic is at most C(n, 2), far below the 2^16 of a key's q
-            columns = {m: ([], [], []) for m in range(start + 1, end)}
-            columns[start] = [node[1]], [node[2]], [node[3]]
-            frontier = [node] if start >= stop else []
-            for left in range(start, end):
-                keys, lows, prevs = columns.pop(left)
-                tally = tallies[left]
-                for key, c in Counter(keys).items():
-                    tally[key] = tally.get(key, 0) + c
-                for size, vals in layers[left]:
-                    shift, least = size - 1 << 16, min(vals)
-                    kids = ([k + shift + i for k, i in
-                             zip(keys, step(left, vals, prevs, lows))],
-                            [least if least < low else low for low in lows],
-                            [vals[-1]] * len(keys))
-                    if left + size < stop:
-                        for column, new in zip(columns[left + size], kids):
-                            column += new
-                    else:
-                        frontier += zip([left + size] * len(keys), *kids)
-            return frontier
+        def expand(left: int, level: tuple, tally: Counter):
+            (keys, lows, prevs), = level
+            # every statistic is at most C(n, 2), far below the 2^16 of a
+            # key's q
+            tally.update(keys)
+            for size, vals in layers[left]:
+                shift, least = size - 1 << 16, min(vals)
+                yield size, 0, (
+                    [k + shift + i for k, i in
+                     zip(keys, step(left, vals, prevs, lows))],
+                    [least if least < low else low for low in lows],
+                    [vals[-1]] * len(keys))
 
-        tallies = permstats.split_walk(descend, (0, 0, n + 1, 0), n,
-                                       WORD_CUT, n >= WORD_SPLIT_FROM)
+        tallies = _level_walk(n, (0, 0, 0, n + 1, 0),
+                              lambda: (([], [], []),), expand)
         return {m: MultiPoly({(m - 2 * (k >> 16), k >> 16, k & 0xFFFF, ()): c
                               for k, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
 
 
-def _paths(n: int):
-    """link and unlink over the partial map i -> p_i on [n], kept as open
-    paths: head[t] starts the path that ends at t, tail[h] ends the path
-    that starts at h, and count[h] is its number of vertices.  Every vertex
-    starts as a path of its own.
-
-    link(i, v) adds the edge i -> v, where i ends a path and v starts one.
-    It closes a cycle exactly when v starts the path that ends at i, and
-    then returns the cycle's length; otherwise it joins the two paths and
-    returns 0, and unlink(i, v) undoes the join.
-
-    >>> link, unlink = _paths(3)
-    >>> link(1, 2), link(2, 3)     # the path 1 -> 2 -> 3
-    (0, 0)
-    >>> link(3, 1)                 # closes the 3-cycle (1 2 3)
-    3
-    """
-    head, tail, count = list(range(n + 1)), list(range(n + 1)), [1] * (n + 1)
-
-    def link(i: int, v: int) -> int:
-        h = head[i]
-        if h == v:
-            return count[v]
-        t = tail[v]
-        tail[h], head[t] = t, h
-        count[h] += count[v]
-        return 0
-
-    def unlink(i: int, v: int) -> None:
-        h, t = head[i], tail[v]
-        tail[h], head[t] = i, v
-        count[h] -= count[v]
-
-    return link, unlink
+# (overhang, letter) -> (overhang, growth of the open path, cycles closed
+# beside it).  The letter goes on the shorter end, its positions taking the
+# rungs to the overhang's in turn.  The open path grows to k + growth
+# positions; it stays open if the new overhang is 1 and else closes as one
+# cycle (none of length 0).  Letter 0 closes the node through the middle.
+_FOLD = {
+    (0, 1): (1, 1, ()),       # a singleton overhangs: a path of 1 opens
+    (0, 2): (2, 0, ()),       # a doubleton overhangs
+    (1, 1): (0, 1, ()),       # the singleton closes the path
+    (1, 2): (1, 2, ()),       # a doubleton carries the path on, its tail
+    #                           overhanging
+    (2, 1): (1, 3, ()),       # the singleton, the overhang's head and its
+    #                           tail: a path of 3 opens
+    (2, 2): (0, 0, (2, 2)),   # two doubletons close a ring of 4
+    (0, 0): (0, 0, ()),
+    (1, 0): (0, 0, ()),       # R fixes the middle position: the path closes
+    (2, 0): (0, 0, (1, 1)),   # R swaps the middle doubleton: a ring of 2
+}
 
 
-def _cycle_walk(marks):
-    """The walk of a cycle family over the reverse layered matchings of one
-    size.  marks(n) is (unit, decode): a closed cycle of length L adds
-    unit[L] to the member's mark (unit[0] = 0), and decode(mark) is its (q
-    exponent, z exponents).  walk(n) maps n to its polynomial."""
+def _fold_step(marks, n: int):
+    """(step, decode) for members of size at most n.  step(h, s, columns) ->
+    (overhang, columns) is _FOLD over the columns of the nodes with overhang
+    h, for their children by letter s, or for s = 0 the nodes closed through
+    the middle.  The columns are (keys,), or (keys, ks) when h = 1.  A key
+    packs a mark over a doubleton count, mark << 8 | d; marks(n) is (unit,
+    decode): a closed cycle of length L adds unit[L] to the mark (unit[0] =
+    0), and decode(mark) is the member's (q exponent, z exponents)."""
+    # _FOLD names cycles of lengths up to 2
+    unit, decode = marks(max(n, 2))
+    cycle = [u << 8 for u in unit]
+    rules = {(h, s): (to, grow, (s == 2) + sum(cycle[c] for c in closed))
+             for (h, s), (to, grow, closed) in _FOLD.items()}
+
+    def step(h: int, s: int, columns: tuple):
+        to, grow, add = rules[h, s]
+        keys = columns[0]
+        if h == 1:
+            ks = columns[1]
+            if to == 1:
+                return to, ([key + add for key in keys],
+                            [k + grow for k in ks])
+            return to, ([key + add + cycle[k + grow]
+                         for key, k in zip(keys, ks)],)
+        if to == 1:
+            return to, ([key + add for key in keys], [grow] * len(keys))
+        add += cycle[grow]
+        return to, ([key + add for key in keys],)
+    return step, decode
+
+
+def _folded(marks):
+    """The walk of a cycle family over the reverse layered matchings, folded
+    (see the section comment), with the marks of _fold_step.  walk(n) maps
+    every size 0..n to its polynomial.  A node is (size, h, key) or, for h =
+    1, (size, 1, key, k), with the key of _fold_step."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        unit, decode = marks(n)
-        link, unlink = _paths(n)
-        # the edge i -> v of each layer, and j -> w of a doubleton (else 0, 0)
-        layers: list[list[tuple]] = [[] for _ in range(n + 1)]
-        for left in range(n + 1):
-            for size in (1, 2):
-                if left + size <= n:
-                    edges = [*enumerate(_REVERSE(n, left, size), left + 1),
-                             (0, 0)]
-                    layers[left].append((*edges[0], *edges[1]))
-        tally: dict[tuple, int] = {}
+        step, decode = _fold_step(marks, n)
 
-        def grow(left: int, d: int, c: int) -> None:
-            if left == n:
-                tally[d, c] = tally.get((d, c), 0) + 1
-                return
-            for i, v, j, w in layers[left]:
-                a = link(i, v)
-                if j:
-                    b = link(j, w)
-                    grow(j, d + 1, c + unit[a] + unit[b])
-                    if not b:
-                        unlink(j, w)
-                else:
-                    grow(i, d, c + unit[a])
-                if not a:
-                    unlink(i, v)
+        def expand(m: int, level: tuple, tally: Counter):
+            for h, columns in enumerate(level):
+                if columns[0]:
+                    _, (members, *_) = step(h, 0, columns)
+                    tally.update(members)
+                    for s in (1, 2):
+                        if m + s <= n:
+                            yield (s, *step(h, s, columns))
 
-        grow(0, 0, 0)
-        return {n: MultiPoly({(n - 2 * d, d, *decode(c)): k
-                              for (d, c), k in tally.items()})}
+        # a doubleton count is at most n / 2, far below the 2^8 of a key's d
+        tallies = _level_walk(n, (0, 0, 0), lambda: (([],), ([], []), ([],)),
+                              expand)
+        return {m: MultiPoly({(m - 2 * (k & 0xFF), k & 0xFF,
+                               *decode(k >> 8)): c for k, c in tally.items()})
+                for m, tally in enumerate(tallies)}
     return walk
+
+
+def _fold(word: str, marks) -> tuple:
+    """The (q exponent, z exponents) of a word's reverse layered matching
+    under marks, from _FOLD: its letters in the order the folded walk takes
+    them, then the middle.
+
+    >>> _fold("DSDSS", _count_marks)    # (6 7 5 3 4 2 1) = (1 6 2 7)(3 5 4)
+    (2, ())
+    >>> _fold("DSDSS", _type_marks)
+    (0, ((3, 1), (4, 1)))
+    """
+    sizes = [size for _, size in permstats.word_layers(word)]
+    step, decode = _fold_step(marks, sum(sizes))
+    h, columns, left, right = 0, ([0],), 0, 0
+    while sizes:
+        # the end with fewer positions takes the next letter, the left end
+        # on a tie
+        if left <= right:
+            size = sizes.pop(0)
+            left += size
+        else:
+            size = sizes.pop()
+            right += size
+        h, columns = step(h, size, columns)
+    _, ((key, *_), *_) = step(h, 0, columns)
+    return decode(key >> 8)
 
 
 def _count_marks(n: int):
@@ -489,10 +552,10 @@ FAMILY: dict[str, Family] = {
     "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X},
                 _walked(_LAYERED, _morse_step)),
     "D": Family(_words("reverse-layered"), _cycles, _rec_D("D"),
-                {0: _ONE, 1: _t(1, x=1, q=1)}, _cycle_walk(_count_marks)),
+                {0: _ONE, 1: _t(1, x=1, q=1)}, _folded(_count_marks)),
     "D'": Family(_words("reverse-layered"), _cycle_type, _rec_D("D'"),
                  {0: _ONE, 1: _t(1, x=1, z=((1, 1),))},
-                 _cycle_walk(_type_marks)),
+                 _folded(_type_marks)),
     "W1": Family(_west("W1"), _inv, _rec_W1(),
                  {0: _ONE, 1: _ONE, 2: _ONE + q_pow(1)}, _west_walk("W1"),
                  permstats.WEST_BOUND),

@@ -137,6 +137,17 @@ class TestEnumerateVerb:
                            "--n", "12")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, forms", [
+        (("enumerate", "--class", "D"), ("digit string", "W1, W2 or W3")),
+        (("distribution", "--patterns", "x"), ("digit string",))])
+    def test_pattern_not_a_permutation(self, capsys, argv, forms):
+        # the message names the token and the forms accepted, not int()'s
+        code, out, err = run(capsys, *argv, "--n", "3")
+        assert (code, out) == (2, "")
+        assert f"{argv[2]!r} is not a permutation" in err
+        assert all(form in err for form in forms)
+        assert "invalid literal" not in err and err.count("\n") == 1
+
     def test_west_bound(self, capsys):
         # the shared West traversal refuses the size before any node
         code, out, err = run(capsys, "enumerate", "--class", "W3", "--n", "13")

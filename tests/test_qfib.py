@@ -17,10 +17,9 @@ from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 
 
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
-ONE_WALK_FAMILIES = ("I", "I'", "M", "M'", "RB", "C")
 WEST_FAMILIES = ("W1", "W2", "W3")
 # the two sizes from which each word walk is split
-SPLIT_SIZES = [(f, n) for f in ONE_WALK_FAMILIES for n in (22, 23)]
+SPLIT_SIZES = [(f, n) for f in WORD_FAMILIES for n in (22, 23)]
 
 
 def P(text):
@@ -71,23 +70,70 @@ class TestWalk:
         assert set(qfib.FAMILY) == {*WORD_FAMILIES, *WEST_FAMILIES}
 
     def test_one_walk_serves_every_size(self, monkeypatch):
-        # the order-invariant families tally every depth of one walk, alone
-        # and split, from every cut: at 0 the root is the one root, past n
-        # there is none, and between them a doubleton carries nodes past it
+        # every word family tallies every depth of one walk, alone and
+        # split, from every cut: at 0 the root is the one root, past n there
+        # is none, and between them a doubleton carries nodes past it
         monkeypatch.setattr(qfib, "WORD_SPLIT_FROM", 0)
         forks = count_forks(monkeypatch)
-        for fam in ONE_WALK_FAMILIES:
+        for fam in WORD_FAMILIES:
             want = [qfib._brute_force(fam, n) for n in range(17)]
             for cut in (0, 1, 5, 9, 16, 17):
+                # split at WORD_CUT, alone at 16 - SERIAL_DEPTH
                 monkeypatch.setattr(qfib, "WORD_CUT", cut)
+                monkeypatch.setattr(permstats, "SERIAL_DEPTH", 16 - cut)
                 for cpus in ((0,), (0, 1)):
                     set_cpus(monkeypatch, cpus)
                     polys = qfib.FAMILY[fam].walk(16)
                     assert list(polys) == list(range(17)), (fam, cut, cpus)
                     assert list(polys.values()) == want, (fam, cut, cpus)
         # every cut but 17 leaves roots to share
-        assert len(forks) == 5 * len(ONE_WALK_FAMILIES)
+        assert len(forks) == 5 * len(WORD_FAMILIES)
         assert_no_child()
+
+    def test_fold_table_from_the_ladder(self):
+        # _FOLD rebuilt from the ladder graph of every folded node up to
+        # size 9 and of its children, by union-find
+        table = {}
+        for left, right in fold_nodes(9):
+            comps, fixed, pending = ladder(left, right)
+            h, k = fold_state(comps, pending)
+            done = {c for c in comps if not c & pending}
+            kids = [(0, *ladder(left, right, middle=True))]
+            a, b = sum(left), sum(right)
+            for s in (1, 2):
+                if a + b + s <= 9:
+                    kid = ((left + (s,), right) if a <= b
+                           else (left, right + (s,)))
+                    kids.append((s, *ladder(*kid)))
+            for s, kid_comps, kid_fixed, kid_pending in kids:
+                to, kid_k = fold_state(kid_comps, kid_pending)
+                closed = [c for c in kid_comps
+                          if not c & kid_pending and c not in done]
+                if h == 1 and to != 1:
+                    # the open path closes, through a fixed point
+                    path, = [c for c in closed if pending <= c]
+                    assert path & kid_fixed
+                    closed.remove(path)
+                    grow = len(path) - k
+                else:
+                    grow = kid_k - k
+                lengths = tuple(sorted(
+                    n for c in closed for n in ((len(c),) if c & kid_fixed
+                                                else (len(c) // 2,) * 2)))
+                entry = (to, grow, lengths)
+                assert table.setdefault((h, s), entry) == entry, (h, s)
+        assert table == qfib._FOLD
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="SD", min_size=20, max_size=60))
+    def test_fold_equals_cycle_decomposition(self, word):
+        # single words far past STRUCTURAL_BOUND, through the steps of the
+        # folded walk
+        cycles = permstats.cycle_decomposition(
+            permstats.perm_from_word(word, "reverse-layered"))
+        assert qfib._fold(word, qfib._count_marks) == (cycles.cycle_count, ())
+        assert qfib._fold(word, qfib._type_marks) == (
+            0, tuple(sorted(cycles.length_counts().items())))
 
     def test_west_walk_serves_every_size(self):
         # one walk down the generating tree tallies every depth; the class
@@ -117,12 +163,15 @@ class TestWalk:
                 assert polys[n] == want, (fam, n)
 
     def test_walk_equals_brute_force(self):
-        # the path-joining walks of D and D', one size each; the other word
-        # families are held to it by test_one_walk_serves_every_size
+        # the folded walks of D and D', from every top size: each stops
+        # at its own n, and every size it tallies on the way is the same
         for fam in ("D", "D'"):
             walk = qfib.FAMILY[fam].walk
+            want = [qfib._brute_force(fam, n) for n in range(17)]
             for n in range(17):
-                assert walk(n) == {n: qfib._brute_force(fam, n)}, (fam, n)
+                polys = walk(n)
+                assert list(polys) == list(range(n + 1)), (fam, n)
+                assert list(polys.values()) == want[:n + 1], (fam, n)
 
     def test_oracle_walks_once_for_every_smaller_size(self, monkeypatch):
         walked = []
@@ -143,6 +192,70 @@ class TestWalk:
         for n in range(12):
             assert qfib.qfib_oracle("I", n) is walked[n > 5][n]
         assert len(walked) == 2
+
+
+def fold_nodes(size):
+    """The (left, right) letter sizes of every node of the folded walk up
+    to size: the end with fewer positions takes the next letter, the left
+    end on a tie."""
+    nodes, todo = [], [((), ())]
+    while todo:
+        left, right = todo.pop()
+        nodes.append((left, right))
+        a, b = sum(left), sum(right)
+        todo += [(left + (s,), right) if a <= b else (left, right + (s,))
+                 for s in (1, 2) if a + b + s <= size]
+    return nodes
+
+
+def ladder(left, right, middle=False):
+    """The components of a folded node's ladder, its fixed points and the
+    positions of its overhang.  ("L", i) and ("R", i) are the i-th
+    positions from each end.  Rails join the two positions of a doubleton,
+    rungs the i-th positions of the two ends; with middle, R fixes the one
+    position of the overhang or joins its two."""
+    parent = {}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def join(u, v):
+        parent[find(u)] = find(v)
+    fixed = set()
+    for end, sizes in (("L", left), ("R", right)):
+        i = 0
+        for s in sizes:
+            parent.update({(end, i + 1): (end, i + 1),
+                           (end, i + s): (end, i + s)})
+            if s == 1:
+                fixed.add((end, i + 1))
+            else:
+                join((end, i + 1), (end, i + 2))
+            i += s
+    a, b = sum(left), sum(right)
+    for i in range(1, min(a, b) + 1):
+        join(("L", i), ("R", i))
+    pending = {("L" if a > b else "R", i)
+               for i in range(min(a, b) + 1, max(a, b) + 1)}
+    if middle and len(pending) == 1:
+        fixed |= pending
+    elif middle and len(pending) == 2:
+        join(*pending)
+    comps = {}
+    for v in parent:
+        comps.setdefault(find(v), set()).add(v)
+    return ([frozenset(c) for c in comps.values()], fixed,
+            set() if middle else pending)
+
+
+def fold_state(comps, pending):
+    """(overhang, k): k counts the positions of the open path when the
+    overhang is one position, and is 0 otherwise."""
+    if len(pending) != 1:
+        return len(pending), 0
+    return 1, len(next(c for c in comps if c & pending))
 
 
 def set_cpus(monkeypatch, cpus):
@@ -234,8 +347,11 @@ class TestSplitWalk:
         calls.clear()
         set_cpus(monkeypatch, (0,))
         assert walk(n) == split
-        # alone, the same cut, then each root's subtree in turn
-        assert deep_walks(calls, qfib.WORD_CUT, n) == list(range(89))
+        # alone, the cut at n - SERIAL_DEPTH, then each root's subtree in
+        # turn
+        cut = n - permstats.SERIAL_DEPTH
+        roots = qfib.fibonacci(cut + 1)
+        assert deep_walks(calls, cut, n) == list(range(roots))
         assert len(forks) == 1
         assert_no_child()
 
