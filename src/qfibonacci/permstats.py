@@ -25,7 +25,7 @@ import marshal
 import os
 from bisect import bisect_left, insort
 from collections import Counter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
@@ -33,8 +33,9 @@ Perm = tuple[int, ...]
 FILTER_BOUND = 9
 
 #: Largest size generated for the West classes.  Size n has F_{2n-2}
-#: members, and growing each member of size n - 1 costs its class's rule,
-#: a few integer operations, and one tuple per child (see _grow).
+#: members, and west_tree grows them a level at a time: a level's children
+#: cost the class's rule and a few integer operations per node, plus a tuple
+#: per child only where the members themselves are asked for (west_class).
 WEST_BOUND = 12
 
 #: West's three doubly-restricted classes, counted by even-index Fibonacci.
@@ -44,14 +45,29 @@ WEST_PATTERNS: dict[str, tuple[Perm, ...]] = {
     "W3": ((1, 3, 2), (3, 4, 1, 2)),
 }
 
-#: Each West class's succession rule: a tree node's legal gaps from its
-#: sites, the 0-based index p of its maximum and its size m >= 1 (_grow).
-WEST_RULES: dict[str, Callable[[int, int, int], int]] = {
-    "W1": lambda sites, p, m: sites if p == 0 else sites & 0b11,
-    "W2": lambda sites, p, m: sites & (1 | 1 << p + 1 | 1 << m),
-    "W3": lambda sites, p, m: sites & 1 | (1 << m + 1) - (1 << max(
-        (~sites & (1 << m + 1) - 1).bit_length(), p + 1)),
-}
+def _w1_rule(sites: list[int], ps: list[int], m: int) -> list[int]:
+    return [s if p == 0 else s & 0b11 for s, p in zip(sites, ps)]
+
+
+def _w2_rule(sites: list[int], ps: list[int], m: int) -> list[int]:
+    ends = 1 | 1 << m
+    return [s & (ends | 2 << p) for s, p in zip(sites, ps)]
+
+
+def _w3_rule(sites: list[int], ps: list[int], m: int) -> list[int]:
+    # gap 0 if a site, and from gap p + 1 on the run of sites that ends at
+    # gap m, which starts at h, the bit length of the non-sites up to m
+    top = 1 << m + 1
+    return [s & 1 | (top - (1 << (s ^ top - 1).bit_length())) & -2 << p
+            for s, p in zip(sites, ps)]
+
+
+#: Each West class's succession rule over a level of its generating tree:
+#: the legal gaps of every node from its sites, the 0-based index p of its
+#: maximum and the level's size m (see _west_gaps).  The root () takes p = 0,
+#: and every rule gives it its one gap.
+WEST_RULES: dict[str, Callable[[list[int], list[int], int], list[int]]] = {
+    "W1": _w1_rule, "W2": _w2_rule, "W3": _w3_rule}
 
 
 class BoundExceeded(ValueError):
@@ -380,16 +396,20 @@ def _west(table: dict, wclass: str):
     return table[wclass]
 
 
-def _grow(sigma: Perm, sites: int,
-          rule: Callable[[int, int, int], int]) -> list[tuple[int, Perm, int]]:
-    """The children of sigma, a node of the generating tree grown from the
-    root () with its sites carried, inserted at the gaps in the bitmask
-    sites (bit k: in front of position k): for each, the gap k that took
-    the new maximum, the child and its own sites.  Below the root, the
-    legal gaps are rule(sites, p, m), sigma's maximum m sitting at p.
+def _west_gaps(legal: list[int], m: int, deepest: bool
+               ) -> Iterator[tuple[int, list[int], list[int] | None]]:
+    """The level step of West's generating tree, grown from the root () with
+    the sites of every node carried: a bitmask of gaps (bit k: in front of
+    position k) where the new maximum may still go.  legal holds the legal
+    gaps of each node of a level of size m: its class's rule applied to the
+    level's sites and p columns, p the index of a node's maximum.  For each
+    gap k legal at some node, the step yields k, the selection mask of those
+    nodes (nonzero where k is legal, for itertools.compress) and their
+    children's sites by gap k, or None when deepest, as those children are
+    not grown.  A child by gap k has its maximum at k.
 
-    A child's sites are the images of sigma's legal gaps: an illegal gap
-    stays illegal in every child, because deleting the child's maximum
+    A child's sites are the images of its parent's legal gaps: an illegal
+    gap stays illegal in every child, because deleting the child's maximum
     turns an insertion there back into the illegal one.  The same argument
     pins both largest values.  sigma avoids the patterns, so an occurrence
     in a child uses the new maximum n; and below the root every site of
@@ -413,13 +433,16 @@ def _grow(sigma: Perm, sites: int,
       the parent's gap l - 2 being legal would make l - 1 legal here.  So
       l = max(h, p + 1), where h is the first gap of the run of sites
       that ends at gap m."""
-    m = len(sigma)
-    legal = rule(sites, sigma.index(m), m) if m else sites & 1
-    # gaps below k keep their index, gaps from k on move up by one, and
-    # gap k itself becomes both sides of the new maximum
-    return [(k, sigma[:k] + (m + 1,) + sigma[k:],
-             legal & ((1 << k) - 1) | (legal >> k) << (k + 1) | 1 << k)
-            for k in range(m + 1) if legal >> k & 1]
+    for k in range(m + 1):
+        bit = 1 << k
+        mask = [g & bit for g in legal]
+        if any(mask):
+            # gaps below k keep their index, gaps from k on move up by one
+            # (adding g & high doubles them), and gap k itself becomes both
+            # sides of the new maximum
+            high = -bit
+            yield k, mask, None if deepest else [
+                g + (g & high) + bit for g in itertools.compress(legal, mask)]
 
 
 def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
@@ -429,9 +452,9 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     Containing a pattern is hereditary: if sigma contains one, so does
     every child, and the answer is empty.  Otherwise each child is tested
     whole: sigma is arbitrary, so no gap is known to be legal for a parent,
-    and the pins of _grow do not apply.  The printed gap rules drop legal
-    insertions (see the identity verifier); the pattern test is the trusted
-    arbiter.
+    and the pins of _west_gaps do not apply.  The printed gap rules drop
+    legal insertions (see the identity verifier); the pattern test is the
+    trusted arbiter.
     """
     pats = _west(WEST_PATTERNS, wclass)
     sigma = check_perm(sigma)
@@ -442,33 +465,48 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     return [child for child in gaps if avoids_all(child, pats)]
 
 
-def west_tree(n: int, wclass: str, visit: Callable[[Perm, int], None]) -> None:
-    """Call visit(sigma, inv(sigma)) at every member sigma of the West
-    class up to size n, depth first down the generating tree from (), each
-    node with its sites (see _grow).  The new maximum in gap k of a size-m
-    node adds m - k inversions.  No node outlives the path to it."""
+def west_tree(n: int, wclass: str, root,
+              grow: Callable[[Iterable, int, int], list]) -> Iterator[list]:
+    """The levels of the West class's generating tree from the root () down
+    to size n, a level at a time: each level is the column of the values its
+    nodes carry, in the walk's order.  The root carries root, and grow(values,
+    m, k) gives the values of the children by gap k of the size-m nodes whose
+    values it is given (an iterator over the nodes where gap k is legal).  A
+    level holds its nodes' sites and p columns beside the values
+    (_west_gaps); the deepest needs neither.  The class and size are checked
+    before any node is grown."""
     rule = _west(WEST_RULES, wclass)
     check_size(n, WEST_BOUND, "West class")
 
-    def grow(sigma: Perm, sites: int, q: int) -> None:
-        m = len(sigma)
-        visit(sigma, q)
-        if m < n:
-            for k, child, kid_sites in _grow(sigma, sites, rule):
-                grow(child, kid_sites, q + m - k)
+    def levels() -> Iterator[list]:
+        values, sites, ps = [root], [0b1], [0]
+        yield values
+        for m in range(n):
+            deepest = m + 1 == n
+            kids: list = []
+            kid_sites: list[int] = []
+            kid_ps: list[int] = []
+            for k, mask, gap_sites in _west_gaps(rule(sites, ps, m), m,
+                                                 deepest):
+                kids += grow(itertools.compress(values, mask), m, k)
+                if not deepest:
+                    kid_sites += gap_sites
+                    kid_ps += [k] * len(gap_sites)
+            values, sites, ps = kids, kid_sites, kid_ps
+            yield values
 
-    grow((), 0b1, 0)
+    return levels()
 
 
 def west_class(n: int, wclass: str) -> list[Perm]:
-    """The West class at size n, sorted: west_tree's nodes at depth n."""
-    members: list[Perm] = []
+    """The West class at size n, sorted: the deepest level of west_tree,
+    whose nodes carry themselves."""
+    def grow(members: Iterable[Perm], m: int, k: int) -> list[Perm]:
+        top = (m + 1,)
+        return [sigma[:k] + top + sigma[k:] for sigma in members]
 
-    def visit(sigma: Perm, q: int) -> None:
-        if len(sigma) == n:
-            members.append(sigma)
-
-    west_tree(n, wclass, visit)
+    for members in west_tree(n, wclass, (), grow):
+        pass
     return sorted(members)
 
 

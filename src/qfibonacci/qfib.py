@@ -37,8 +37,8 @@ from .polyring import MultiPoly, q_pow
 #: and D and 0.19-0.35 s for D' on one CPU, and in 0.09-0.14 s split over
 #: two (CPython 3.11, 2-vCPU host).  No benchmark workload measures a larger
 #: size, so the cap stays.  The West classes take permstats.WEST_BOUND:
-#: their walk builds every member, one tuple each, and the class sizes
-#: F_{2n-2} grow about 2.6x per step.
+#: their walk holds a whole level, and the class sizes F_{2n-2} grow about
+#: 2.6x per step.
 STRUCTURAL_BOUND = 26
 
 #: The split word walks (permstats.split_walk).  A word walk is split over
@@ -48,8 +48,8 @@ STRUCTURAL_BOUND = 26
 #: than it saves (CPython 3.11, 2-vCPU host).  Its subtree roots, the word
 #: nodes that first reach WORD_CUT = 9 or more placed elements, are F_10 =
 #: 89, below 88 with fewer.  A walk alone cuts at n - permstats.SERIAL_DEPTH
-#: instead.  A West walk never splits: it takes 8-14 ms to size 10, 70-90 ms
-#: to 12.
+#: instead.  A West walk never splits: it takes 1.5-3 ms to size 10 and
+#: 10-16 ms to 12.
 WORD_SPLIT_FROM, WORD_CUT = 22, 9
 
 
@@ -180,13 +180,13 @@ class Family(NamedTuple):
     walk(n) maps every size 0..n to its polynomial from one pass to size n:
     a level at a time over the S/D word tree, appending layers for the
     order-invariant families (_walked) and folding the word from both ends
-    for D and D' (_folded); depth first down West's generating tree for
-    W1-W3 (_west_walk).  Every word walk goes through permstats.split_walk,
-    which shares large walks with a forked child (WORD_SPLIT_FROM).  The
-    oracle uses walk in place of the objects/weight loop, which stays the
-    reference.  Class generators and statistics are looked up on their
-    modules at call time, so wrappers installed after import see every
-    call.
+    for D and D' (_folded); a level at a time down West's generating tree
+    for W1-W3 (_west_walk).  Every word walk goes through
+    permstats.split_walk, which shares large walks with a forked child
+    (WORD_SPLIT_FROM).  The oracle uses walk in place of the objects/weight
+    loop, which stays the reference.  Class generators and statistics are
+    looked up on their modules at call time, so wrappers installed after
+    import see every call.
     """
 
     objects: Callable[[int], Iterator[tuple[int, int, object]]]
@@ -255,18 +255,21 @@ def _rb(alpha):
 # -- the West walk ------------------------------------------------------------
 
 
+def _inversions(invs: Iterable[int], m: int, k: int) -> list[int]:
+    """The new maximum in gap k of a size-m node adds the m - k inversions
+    with the values after it."""
+    added = m - k
+    return [q + added for q in invs]
+
+
 def _west_walk(wclass: str):
-    """walk(n) tallies inv at every size 0..n in one west_tree pass."""
+    """walk(n) tallies inv at every size 0..n in one permstats.west_tree
+    pass, whose nodes carry only their inv."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        tallies: list[dict] = [{} for _ in range(n + 1)]
-
-        def visit(sigma: tuple, q: int) -> None:
-            tally = tallies[len(sigma)]
-            tally[q] = tally.get(q, 0) + 1
-
-        permstats.west_tree(n, wclass, visit)
-        return {m: MultiPoly({(0, 0, q, ()): c for q, c in tally.items()})
-                for m, tally in enumerate(tallies)}
+        return {m: MultiPoly({(0, 0, q, ()): c
+                              for q, c in Counter(invs).items()})
+                for m, invs in enumerate(
+                    permstats.west_tree(n, wclass, 0, _inversions))}
     return walk
 
 
@@ -484,9 +487,15 @@ def _type_marks(n: int):
     mask = (1 << width) - 1
 
     def decode(c: int):
-        return 0, tuple((length, c >> width * length & mask)
-                        for length in range(1, n + 1)
-                        if c >> width * length & mask)
+        # the fields from length 1 up to the highest nonzero one
+        z, length = [], 0
+        c >>= width
+        while c:
+            length += 1
+            if c & mask:
+                z.append((length, c & mask))
+            c >>= width
+        return 0, tuple(z)
     return [0] + [1 << width * length for length in range(1, n + 1)], decode
 
 

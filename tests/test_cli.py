@@ -132,6 +132,20 @@ class TestEnumerateVerb:
         assert code == 0
         assert len(json.loads(out)) == 13
 
+    @pytest.mark.parametrize("wclass, digest", [
+        ("W1", "04830fe232710f2b099610779e22c810"
+               "407940196f9b17bc847aa7ad5e526636"),
+        ("W2", "1c5f917fc61eb3f453d0f2dfc0826708"
+               "bfb1b286715e0c08d135eda1c44c55f0"),
+        ("W3", "0bfad73ecb6592f891a3e5f56b5ce7d2"
+               "6ce63fde43238783b95ec974f89802d6")])
+    def test_west_class_output_unchanged(self, capsys, wclass, digest):
+        # the SHA-256 of the members at size 10, as printed when the tree
+        # was walked depth first, one node at a time
+        code, out, _ = run(capsys, "enumerate", "--class", wclass, "--n", "10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bound(self, capsys):
         code, _, err = run(capsys, "enumerate", "--class", "123,132,213",
                            "--n", "12")

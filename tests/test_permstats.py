@@ -253,22 +253,29 @@ class TestWest:
                 == [c for c in gaps if ps.avoids_all(c, pats)])
 
     def test_grow_equals_filter_on_walk_nodes(self):
-        # every node below size 9 (children up to size 9), grown from the
-        # root with its carried sites: the class rule's gaps are the legal
-        # ones by the whole pattern test, and each gap left out of the
-        # sites is illegal
+        # every node below size 9 (children up to size 9), grown a level at
+        # a time from the root with its carried sites: the level step's
+        # legal gaps are the legal ones by the whole pattern test, and each
+        # gap left out of the sites is illegal
         for cls, pats in ps.WEST_PATTERNS.items():
-            todo = [((), 0b1)]
-            while todo:
-                sigma, sites = todo.pop()
-                n = len(sigma) + 1
-                kids = ps._grow(sigma, sites, ps.WEST_RULES[cls])
-                legal = [k for k in range(n)
-                         if ps.avoids_all(sigma[:k] + (n,) + sigma[k:], pats)]
-                assert [k for k, _, _ in kids] == legal, (cls, sigma)
-                assert all(sites >> k & 1 for k in legal), (cls, sigma)
-                if n < 9:
-                    todo.extend((child, s) for _, child, s in kids)
+            level, sites, maxima = [()], [0b1], [0]
+            for m in range(9):
+                legal = ps.WEST_RULES[cls](sites, maxima, m)
+                gaps = list(ps._west_gaps(legal, m, False))
+                for i, sigma in enumerate(level):
+                    want = [k for k in range(m + 1) if ps.avoids_all(
+                        sigma[:k] + (m + 1,) + sigma[k:], pats)]
+                    assert [k for k, mask, _ in gaps if mask[i]] == want, (
+                        cls, sigma)
+                    assert all(sites[i] >> k & 1 for k in want), (cls, sigma)
+                # the deepest level selects the same nodes, without sites
+                assert list(ps._west_gaps(legal, m, True)) == [
+                    (k, mask, None) for k, mask, _ in gaps]
+                level = [sigma[:k] + (m + 1,) + sigma[k:]
+                         for k, mask, _ in gaps
+                         for sigma in itertools.compress(level, mask)]
+                sites = [s for _, _, kid_sites in gaps for s in kid_sites]
+                maxima = [k for k, _, kid_sites in gaps for _ in kid_sites]
 
     def test_counts(self):
         for cls in ("W1", "W2", "W3"):

@@ -147,6 +147,17 @@ class TestWalk:
                 assert polys[m].evaluate(q=1) == (
                     qfib.fibonacci(2 * m - 2) if m else 1), (fam, m)
 
+    def test_west_walk_from_every_top_size(self):
+        # the deepest level of a walk grows no sites: each walk stops at its
+        # own n, and every size it tallies on the way is the same
+        for fam in WEST_FAMILIES:
+            walk = qfib.FAMILY[fam].walk
+            want = [qfib._brute_force(fam, n) for n in range(11)]
+            for n in range(11):
+                polys = walk(n)
+                assert list(polys) == list(range(n + 1)), (fam, n)
+                assert list(polys.values()) == want[:n + 1], (fam, n)
+
     def test_west_walk_equals_filter(self):
         # the filter shares nothing with the walk; _brute_force does, as
         # west_class sorts the nodes of the walk's own west_tree
