@@ -108,6 +108,9 @@ def _flat(key: Monomial) -> int:
     a, b, e, z = key
     if not (isinstance(a, int) and isinstance(b, int) and isinstance(e, int)):
         raise ValueError(f"exponents must be integers, got {(a, b, e)!r}")
+    if z == () and 0 <= a < _LIMIT and 0 <= b < _LIMIT and -_BIAS <= e < _BIAS:
+        # z-free and in range: the fields packed at once
+        return b << 64 | a << 32 | e + _BIAS
     exps = [e, a, b]
     for i, f in z:
         if not isinstance(i, int) or i < 1:

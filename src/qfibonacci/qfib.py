@@ -33,23 +33,23 @@ from .polyring import MultiPoly, q_pow
 
 #: Oracle size cap of the word-structured classes (the T4.5 suite touches
 #: index 25).  Their walks visit every word: one walk to 26 passes its
-#: 514,228 nodes, 196,418 of them members of size 26, in 0.15-0.28 s for I
-#: and D and 0.19-0.35 s for D' on one CPU, and in 0.09-0.14 s split over
-#: two (CPython 3.11, 2-vCPU host).  No benchmark workload measures a larger
-#: size, so the cap stays.  The West classes take permstats.WEST_BOUND:
-#: their walk holds a whole level, and the class sizes F_{2n-2} grow about
-#: 2.6x per step.
+#: 514,228 nodes, 196,418 of them members of size 26, in 0.10-0.16 s for I
+#: and D and 0.15-0.20 s for D' on one CPU, and split over two in 0.05-0.08
+#: s for I and D and 0.08-0.12 s for D' (CPython 3.11, 2-vCPU host, min of
+#: 9-21 walks).  No benchmark workload measures a larger size, so the cap
+#: stays.  The West classes take permstats.WEST_BOUND: their walk holds a
+#: whole level, and the class sizes F_{2n-2} grow about 2.6x per step.
 STRUCTURAL_BOUND = 26
 
 #: The split word walks (permstats.split_walk).  A word walk is split over
-#: two processes from size WORD_SPLIT_FROM on.  At 22 a walk of I or D takes
-#: about 22 ms alone or split, one of D' 31-39 ms alone and 31-32 ms split;
-#: a split saves 10-15% at 23 and a third at 26, and below 22 it costs more
-#: than it saves (CPython 3.11, 2-vCPU host).  Its subtree roots, the word
-#: nodes that first reach WORD_CUT = 9 or more placed elements, are F_10 =
-#: 89, below 88 with fewer.  A walk alone cuts at n - permstats.SERIAL_DEPTH
-#: instead.  A West walk never splits: it takes 1.5-3 ms to size 10 and
-#: 10-16 ms to 12.
+#: two processes from size WORD_SPLIT_FROM on.  At 22 a walk of I, D or D'
+#: takes 13-28 ms split and 14-27 ms alone, the split faster in 7 of 9
+#: measurements (by 12% in the median); at 21 it is slower in 8 of 9 (by
+#: 7%), and it saves 16-41% at 23 and about half at 26 (min of 21 walks,
+#: CPython 3.11, 2-vCPU host).  Its subtree roots, the word nodes that
+#: first reach WORD_CUT = 9 or more placed elements, are F_10 = 89, below 88
+#: with fewer.  A walk alone cuts at n - permstats.SERIAL_DEPTH instead.  A
+#: West walk never splits: it takes 1.5-3 ms to size 10 and 10-16 ms to 12.
 WORD_SPLIT_FROM, WORD_CUT = 22, 9
 
 
@@ -287,9 +287,12 @@ def _west_walk(wclass: str):
 # a walk to size n places are order isomorphic to the size-m member with the
 # same letters: reverse-layered layers take the highest values left, and
 # layered and partition layers do not depend on n.  The placed values of a
-# node form the interval low..low + left - 1, so a step(left, vals, prevs,
-# lows) compares the new layer vals with each node's own last placed value
-# prev and its low, and returns one increment per node.
+# node form the interval low..low + left - 1, and a step reads at most one
+# value of each node: its low (I, I', RB), its last placed value prev (M,
+# M'), or none (C).  A level carries that one column beside the keys.  Each
+# letter builds the children's keys in one comprehension, which compares the
+# new layer's values with each node's own low or prev, and their carried
+# column in a second.
 #
 # _folded serves D and D', whose cycles read actual values.  The reverse
 # layered matching of a word of size n is R L_w, where R maps i to n + 1 - i
@@ -340,35 +343,67 @@ def _level_walk(n: int, root: tuple, empty, expand):
                                 n >= WORD_SPLIT_FROM)
 
 
-def _walked(values, step):
-    """The walk of an order-invariant word family.  values(n, left, size) is
-    the layer of that size after left placed elements, and the statistic of
-    a member is the sum of the steps along its word.  walk(n) maps every
-    size 0..n to its polynomial.  A node is (left, 0, key, low, prev): the
-    packed key d << 16 | q, the least placed value and the last one."""
+def _children(step, carry, left: int, size: int, vals, columns: tuple):
+    """The columns of the children, by the layer vals of that size, of the
+    nodes in columns: their keys and, unless carry is None, their aux."""
+    keys = step(left, vals, size - 1 << 16, *columns)
+    return (keys, carry(vals, columns[1])) if carry else (keys,)
+
+
+def _walked(family: str):
+    """The walk of an order-invariant word family, from its _WALKED entry
+    (values, step, carry).  values(n, left, size) is the layer of that size
+    after left placed elements, and the statistic of a member is the sum of
+    the steps along its word.  walk(n) maps every size 0..n to its
+    polynomial.  A node is (left, 0, key, aux): the packed key d << 16 | q
+    and the one value that the family's step reads, or (left, 0, key) when
+    carry is None (C).  step(left, vals, shift, keys, *aux) returns the
+    children's keys, each parent's key plus shift (the letter's d << 16) and
+    what the layer adds to the statistic, and carry(vals, aux) their aux
+    column."""
     def walk(n: int) -> dict[int, MultiPoly]:
+        values, step, carry = _WALKED[family]
         layers = [[(size, values(n, left, size)) for size in (1, 2)
                    if left + size <= n] for left in range(n + 1)]
 
         def expand(left: int, level: tuple, tally: Counter):
-            (keys, lows, prevs), = level
+            columns, = level
             # every statistic is at most C(n, 2), far below the 2^16 of a
             # key's q
-            tally.update(keys)
+            tally.update(columns[0])
             for size, vals in layers[left]:
-                shift, least = size - 1 << 16, min(vals)
-                yield size, 0, (
-                    [k + shift + i for k, i in
-                     zip(keys, step(left, vals, prevs, lows))],
-                    [least if least < low else low for low in lows],
-                    [vals[-1]] * len(keys))
+                yield size, 0, _children(step, carry, left, size, vals,
+                                         columns)
 
-        tallies = _level_walk(n, (0, 0, 0, n + 1, 0),
-                              lambda: (([], [], []),), expand)
+        # the root's aux, n + 1, lies above every value
+        root, empty = (((0, 0, 0, n + 1), lambda: (([], []),)) if carry else
+                       ((0, 0, 0), lambda: (([],),)))
+        tallies = _level_walk(n, root, empty, expand)
         return {m: MultiPoly({(m - 2 * (k >> 16), k >> 16, k & 0xFFFF, ()): c
                               for k, c in tally.items()})
                 for m, tally in enumerate(tallies)}
     return walk
+
+
+def _walked_path(word: str, family: str) -> list[tuple]:
+    """The nodes (key, *aux) on one word's path down the family's walk,
+    from the root, each letter stepped with the layers of the word's own
+    size.
+
+    >>> [(*divmod(key, 1 << 16), low)               # (3 4 2 1): (d, q, low)
+    ...  for key, low in _walked_path("DSS", "I")]
+    [(0, 0, 5), (1, 0, 3), (1, 2, 2), (1, 5, 1)]
+    """
+    values, step, carry = _WALKED[family]
+    layout = permstats.word_layers(word)
+    n = sum(size for _, size in layout)
+    columns = ([0], [n + 1]) if carry else ([0],)
+    path = [tuple(column[0] for column in columns)]
+    for left, size in layout:
+        columns = _children(step, carry, left, size, values(n, left, size),
+                            columns)
+        path.append(tuple(column[0] for column in columns))
+    return path
 
 
 # (overhang, letter) -> (overhang, growth of the open path, cycles closed
@@ -509,38 +544,75 @@ def _partition_layers(n: int, left: int, size: int):
     return partitions.layer_block(left, size)
 
 
-def _inv_step(left, vals, prevs, lows):
-    """Inversions the layer adds: a new value below the placed interval is
-    inverted with every placed value, one above it with none; plus the pair
-    inside a doubleton."""
+def _lows(vals, lows):
+    """The least placed value of each child."""
+    least = min(vals)
+    return [least if least < low else low for low in lows]
+
+
+def _prevs(vals, prevs):
+    """The last placed value of each child."""
+    return [vals[-1]] * len(prevs)
+
+
+def _inv_step(left, vals, shift, keys, lows):
+    """The children's keys, with the inversions the layer adds: a new value
+    below the placed interval is inverted with every placed value, one above
+    it with none; plus the pair inside a doubleton."""
     a, b = vals[0], vals[-1]
     if len(vals) == 1:
-        return [left if a < low else 0 for low in lows]
-    return [(left if a < low else 0) + (left if b < low else 0) + (a > b)
-            for low in lows]
+        above = shift + left
+        return [key + above if a < low else key + shift
+                for key, low in zip(keys, lows)]
+    shift += a > b
+    one, two = shift + left, shift + 2 * left
+    return [key + ((two if b < low else one) if a < low else
+                   (one if b < low else shift))
+            for key, low in zip(keys, lows)]
 
 
-def _maj_step(left, vals, prevs, lows):
-    """Descents the layer adds, at their 1-based positions: at the junction
-    with the placed values and inside a doubleton."""
+def _maj_step(left, vals, shift, keys, prevs):
+    """The children's keys, with the descents the layer adds, at their
+    1-based positions: at the junction with the placed values and inside a
+    doubleton."""
     a = vals[0]
-    inside = left + 1 if len(vals) == 2 and a > vals[1] else 0
-    return [(left if prev > a else 0) + inside for prev in prevs]
+    if len(vals) == 2 and a > vals[1]:
+        shift += left + 1
+    above = shift + left
+    return [key + above if prev > a else key + shift
+            for key, prev in zip(keys, prevs)]
 
 
-def _rb_step(left, vals, prevs, lows):
-    """Placed elements below the new block's maximum: all of the placed
-    interval when the maximum lies above it, else none."""
-    top = max(vals)
-    return [left if top > low else 0 for low in lows]
+def _rb_step(left, vals, shift, keys, lows):
+    """The children's keys, with the placed elements below the new block's
+    maximum: all of the placed interval when the maximum lies above it, else
+    none."""
+    top, above = max(vals), shift + left
+    return [key + above if top > low else key + shift
+            for key, low in zip(keys, lows)]
 
 
-def _morse_step(left, vals, prevs, lows):
-    """Cigler's score: a dash scores the length before it plus one."""
-    return [left + 1 if len(vals) == 2 else 0] * len(lows)
+def _morse_step(left, vals, shift, keys):
+    """The children's keys, with Cigler's score: a dash scores the length
+    before it plus one."""
+    if len(vals) == 2:
+        shift += left + 1
+    return [key + shift for key in keys]
 
 
 _REVERSE, _LAYERED = _perm_layers("reverse-layered"), _perm_layers("layered")
+
+#: The order-invariant word families: (values, step, carry) for _walked.
+_WALKED = {
+    "I": (_REVERSE, _inv_step, _lows),
+    "I'": (_LAYERED, _inv_step, _lows),
+    "M": (_REVERSE, _maj_step, _prevs),
+    "M'": (_LAYERED, _maj_step, _prevs),
+    "RB": (_partition_layers, _rb_step, _lows),
+    # the buffer holds the Morse sequence's layered matching (morse_to_perm)
+    "C": (_LAYERED, _morse_step, None),
+}
+
 _ONE, _X = MultiPoly.one(), _t(1, x=1)
 
 # D, D' have no printed bases and W1 is printed for even indices from F_2
@@ -548,18 +620,16 @@ _ONE, _X = MultiPoly.one(), _t(1, x=1)
 # 21).
 FAMILY: dict[str, Family] = {
     "I": Family(_words("reverse-layered"), _inv, _rec_I, {0: _ONE, 1: _X},
-                _walked(_REVERSE, _inv_step)),
+                _walked("I")),
     "I'": Family(_words("layered"), _inv, _reversal_of("I"), {},
-                 _walked(_LAYERED, _inv_step)),
+                 _walked("I'")),
     "M": Family(_words("reverse-layered"), _maj, _rec_M, {0: _ONE, 1: _X},
-                _walked(_REVERSE, _maj_step)),
+                _walked("M")),
     "M'": Family(_words("layered"), _maj, _reversal_of("M"), {},
-                 _walked(_LAYERED, _maj_step)),
-    "RB": Family(_layered_matchings, _rb, None, {},
-                 _walked(_partition_layers, _rb_step)),
-    # the buffer holds the Morse sequence's layered matching (morse_to_perm)
+                 _walked("M'")),
+    "RB": Family(_layered_matchings, _rb, None, {}, _walked("RB")),
     "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X},
-                _walked(_LAYERED, _morse_step)),
+                _walked("C")),
     "D": Family(_words("reverse-layered"), _cycles, _rec_D("D"),
                 {0: _ONE, 1: _t(1, x=1, q=1)}, _folded(_count_marks)),
     "D'": Family(_words("reverse-layered"), _cycle_type, _rec_D("D'"),

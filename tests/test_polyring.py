@@ -337,6 +337,23 @@ class TestConstructor:
             with pytest.raises(ValueError):
                 MultiPoly({key: 1})
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([-1, 0, 2 ** 31 - 1, 2 ** 31, False, True]),
+           st.sampled_from([-1, 0, 2 ** 31 - 1, 2 ** 31, False, True]),
+           st.sampled_from([-2 ** 30 - 1, -2 ** 30, 2 ** 30 - 1, 2 ** 30,
+                            False, True]))
+    def test_z_free_keys_pack_as_the_checked_path(self, x, y, q):
+        # at the field edges the z-free fast path of _flat gives the key, or
+        # the exception type and text, of _pack
+        def outcome(make, arg):
+            try:
+                key = make(arg)
+            except (ValueError, OverflowError) as err:
+                return type(err), str(err)
+            return type(key), key
+        assert outcome(polyring._flat, (x, y, q, ())) == outcome(
+            polyring._pack, [q, x, y])
+
     def test_normalises_z_order(self):
         p = MultiPoly({(0, 0, 0, ((2, 1), (1, 1))): 1})
         assert p == MultiPoly.term(1, z=((1, 1), (2, 1)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfibonacci import blockwords, permstats, qfib
+from qfibonacci import blockwords, partitions, permstats, qfib
 from qfibonacci.permstats import BoundExceeded
 from qfibonacci.polyring import MultiPoly, Q, X, q_pow
 
@@ -134,6 +134,35 @@ class TestWalk:
         assert qfib._fold(word, qfib._count_marks) == (cycles.cycle_count, ())
         assert qfib._fold(word, qfib._type_marks) == (
             0, tuple(sorted(cycles.length_counts().items())))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="SD", min_size=20, max_size=60))
+    def test_walked_step_along_one_word(self, word):
+        # single words far past STRUCTURAL_BOUND, through the steps of the
+        # order-invariant walks: the key of the last node against the
+        # statistic of the word's own object, and every node's aux against
+        # the values placed so far (the root's, n + 1, above them all)
+        rev = permstats.perm_from_word(word, "reverse-layered")
+        lay = permstats.perm_from_word(word, "layered")
+        objects = {"I": rev, "I'": lay, "M": rev, "M'": lay,
+                   "RB": partitions.partition_from_word(word), "C": word}
+        layout = permstats.word_layers(word)
+        n = sum(size for _, size in layout)
+        for fam, obj in objects.items():
+            path = qfib._walked_path(word, fam)
+            q, _ = qfib.FAMILY[fam].weight(obj)
+            assert divmod(path[-1][0], 1 << 16) == (word.count("D"), q), fam
+            if fam == "C":
+                assert {len(node) for node in path} == {1}
+                continue
+            placed = (obj if fam != "RB" else
+                      [v for block in obj for v in block])
+            # I, I' and RB carry the least placed value, M and M' the last
+            aux = [n + 1] + [min(placed[:left + size])
+                             if fam in ("I", "I'", "RB")
+                             else placed[left + size - 1]
+                             for left, size in layout]
+            assert [a for _, a in path] == aux, fam
 
     def test_west_walk_serves_every_size(self):
         # one walk down the generating tree tallies every depth; the class
