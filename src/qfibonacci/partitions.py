@@ -73,18 +73,6 @@ def partition_from_text(text: str) -> SetPartition:
 # -- containment ---------------------------------------------------------------
 
 
-def contains_subpartition(beta: SetPartition, blocks: Iterable[Iterable[int]]) -> bool:
-    """Literal containment: each given block is a subset of its own
-    distinct block of beta.  This is a stronger relation than pattern
-    containment, which only asks for an order isomorphic witness."""
-    wanted = [frozenset(b) for b in blocks]
-    hosts = [frozenset(b) for b in beta]
-    for assignment in itertools.permutations(range(len(hosts)), len(wanted)):
-        if all(w <= hosts[i] for w, i in zip(wanted, assignment)):
-            return True
-    return False
-
-
 def partition_contains(beta: SetPartition, alpha: SetPartition) -> bool:
     """Pattern containment: some sub-partition of beta (a nonempty subset
     from each of a family of distinct blocks) is order isomorphic to alpha.

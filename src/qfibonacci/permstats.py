@@ -33,9 +33,10 @@ Perm = tuple[int, ...]
 FILTER_BOUND = 9
 
 #: Largest size generated for the West classes.  Size n has F_{2n-2}
-#: members, and west_tree grows them a level at a time: a level's children
-#: cost the class's rule and a few integer operations per node, plus a tuple
-#: per child only where the members themselves are asked for (west_class).
+#: members, and west_walk grows them a level at a time: a level's children
+#: cost the class's rule and a few integer operations per node, plus a
+#: member per child only where the members themselves are asked for
+#: (west_class).
 WEST_BOUND = 12
 
 #: West's three doubly-restricted classes, counted by even-index Fibonacci.
@@ -465,52 +466,47 @@ def west_children(sigma: Sequence[int], wclass: str) -> list[Perm]:
     return [child for child in gaps if avoids_all(child, pats)]
 
 
-def west_tree(n: int, wclass: str, root,
-              grow: Callable[[Iterable, int, int], list]) -> Iterator[list]:
-    """The levels of the West class's generating tree from the root () down
-    to size n, a level at a time: each level is the column of the values its
-    nodes carry, in the walk's order.  The root carries root, and grow(values,
-    m, k) gives the values of the children by gap k of the size-m nodes whose
-    values it is given (an iterator over the nodes where gap k is legal).  A
-    level holds its nodes' sites and p columns beside the values
-    (_west_gaps); the deepest needs neither.  The class and size are checked
+def west_walk(n: int, wclass: str, root,
+              grow: Callable[[Iterable, int, int], list]) -> Tallies:
+    """The tallies of the West class's generating tree from the root () down
+    to size n, through level_walk: tallies[m] counts the values that the
+    size-m nodes carry.  The root carries root, and grow(values, m, k) gives
+    the values of the children by gap k of the size-m nodes whose values it
+    is given (an iterator over the nodes where gap k is legal).  A node is
+    (size, 0, value, sites, p), with the sites and p of _west_gaps, and in
+    one slot a level holds those three columns; the deepest level grows no
+    sites, so its nodes are (n, 0, value).  The class and size are checked
     before any node is grown."""
     rule = _west(WEST_RULES, wclass)
     check_size(n, WEST_BOUND, "West class")
 
-    def levels() -> Iterator[list]:
-        values, sites, ps = [root], [0b1], [0]
-        yield values
-        for m in range(n):
+    def expand(m: int, level: tuple, tally: Counter):
+        (values, sites, ps), = level
+        tally.update(values)
+        if m < n:
             deepest = m + 1 == n
-            kids: list = []
-            kid_sites: list[int] = []
-            kid_ps: list[int] = []
-            for k, mask, gap_sites in _west_gaps(rule(sites, ps, m), m,
+            for k, mask, kid_sites in _west_gaps(rule(sites, ps, m), m,
                                                  deepest):
-                kids += grow(itertools.compress(values, mask), m, k)
-                if not deepest:
-                    kid_sites += gap_sites
-                    kid_ps += [k] * len(gap_sites)
-            values, sites, ps = kids, kid_sites, kid_ps
-            yield values
+                kids = grow(itertools.compress(values, mask), m, k)
+                yield 1, 0, ((kids,) if deepest else
+                             (kids, kid_sites, [k] * len(kids)))
 
-    return levels()
+    return level_walk(n, (0, 0, root, 0b1, 0), lambda: (([], [], []),),
+                      expand)
 
 
 def west_class(n: int, wclass: str) -> list[Perm]:
-    """The West class at size n, sorted: the deepest level of west_tree,
-    whose nodes carry themselves."""
-    def grow(members: Iterable[Perm], m: int, k: int) -> list[Perm]:
-        top = (m + 1,)
+    """The West class at size n, sorted: the size-n nodes of west_walk, which
+    carry themselves.  They go as bytes (n <= WEST_BOUND < 256), which hash
+    and sort faster than tuples, and become tuples once sorted."""
+    def grow(members: Iterable[bytes], m: int, k: int) -> list[bytes]:
+        top = bytes((m + 1,))
         return [sigma[:k] + top + sigma[k:] for sigma in members]
 
-    for members in west_tree(n, wclass, (), grow):
-        pass
-    return sorted(members)
+    return list(map(tuple, sorted(west_walk(n, wclass, b"", grow)[n])))
 
 
-# -- walks split over two processes -------------------------------------------
+# -- walks a level at a time, split over two processes -----------------------
 
 Tallies = list[Counter]
 Descend = Callable[[tuple, int, Tallies], list]
@@ -521,9 +517,50 @@ Descend = Callable[[tuple, int, Tallies], list]
 #: level at 26 holds F_26 = 196,418.  Each level of a walk has a fixed
 #: cost, and the deeper the subtrees, the more nodes share it: on one CPU
 #: the word oracles to 20 take 25-35% less time at depth 15 than at 12, and
-#: 14 or 16 is no faster (CPython 3.11, 2-vCPU host).  A split walk cuts
-#: where its caller says, to share the subtrees out.
+#: 14 or 16 is no faster (CPython 3.11, 2-vCPU host).  A West walk, at most
+#: WEST_BOUND = 12 deep, is one subtree, and a West subtree 15 deep would
+#: not be small: its levels grow about 2.6x a step.  A split walk cuts at
+#: SPLIT_CUT instead, to share the subtrees out.
 SERIAL_DEPTH = 15
+
+#: A walk to n through level_walk is split over two processes from size
+#: SPLIT_FROM on.  At 22 a walk of I, D or D' takes 13-28 ms split and 14-27
+#: ms alone, the split faster in 7 of 9 measurements (by 12% in the median);
+#: at 21 it is slower in 8 of 9 (by 7%), and it saves 16-41% at 23 and
+#: about half at 26 (min of 21 walks, CPython 3.11, 2-vCPU host).  Its
+#: subtree roots, the nodes that first reach size SPLIT_CUT or more, are
+#: F_10 = 89 in a word tree, below 88 nodes of smaller size.  No West walk
+#: splits: WEST_BOUND is 12, below SPLIT_FROM, and a West walk takes 1.5-3
+#: ms to size 10 and 10-16 ms to 12.
+SPLIT_FROM, SPLIT_CUT = 22, 9
+
+
+def level_walk(n: int, root: tuple, empty, expand) -> Tallies:
+    """The tallies of a tree walk to n through split_walk, a level at a time.
+    empty() is a level with no node: for each slot, one empty column per
+    node field.  A node is (size, slot, *fields).  expand(m, level, tally)
+    counts the level's nodes, of size m, into tally and yields (size step,
+    slot, columns) for their children, of size at most n."""
+    def descend(node: tuple, stop: int, tallies: Tallies) -> list[tuple]:
+        start, end = node[0], min(stop, n + 1)
+        if start >= stop:
+            return [node]
+        levels = {m: empty() for m in range(start, end)}
+        for column, value in zip(levels[start][node[1]], node[2:]):
+            column.append(value)
+        frontier = []
+        for m in range(start, end):
+            for size, slot, kids in expand(m, levels.pop(m), tallies[m]):
+                if m + size < stop:
+                    for column, new in zip(levels[m + size][slot], kids):
+                        column += new
+                else:
+                    # a step of 2 can carry a node one past stop
+                    count = len(kids[0])
+                    frontier += zip([m + size] * count, [slot] * count, *kids)
+        return frontier
+
+    return split_walk(descend, root, n, SPLIT_CUT, n >= SPLIT_FROM)
 
 
 def split_walk(descend: Descend, root: tuple, n: int, cut: int,
@@ -555,7 +592,9 @@ def split_walk(descend: Descend, root: tuple, n: int, cut: int,
         return tallies
     read_end, write_end = os.pipe()
     with open(read_end, "rb", buffering=0) as tickets:
-        # a few hundred bytes, far below the pipe's capacity
+        # 4 bytes a root, all written before any is drawn, so they must
+        # stay below the pipe's buffer (4 KiB or more on Linux): a word
+        # walk's 89 roots take 356 bytes
         with open(write_end, "wb") as deal:
             deal.write(b"".join(k.to_bytes(4, "little")
                                 for k in range(len(roots))))

@@ -37,20 +37,10 @@ from .polyring import MultiPoly, q_pow
 #: and D and 0.15-0.20 s for D' on one CPU, and split over two in 0.05-0.08
 #: s for I and D and 0.08-0.12 s for D' (CPython 3.11, 2-vCPU host, min of
 #: 9-21 walks).  No benchmark workload measures a larger size, so the cap
-#: stays.  The West classes take permstats.WEST_BOUND: their walk holds a
-#: whole level, and the class sizes F_{2n-2} grow about 2.6x per step.
+#: stays.  The West classes take permstats.WEST_BOUND: their walk is one
+#: subtree, a whole level at a time, and the class sizes F_{2n-2} grow
+#: about 2.6x per step.
 STRUCTURAL_BOUND = 26
-
-#: The split word walks (permstats.split_walk).  A word walk is split over
-#: two processes from size WORD_SPLIT_FROM on.  At 22 a walk of I, D or D'
-#: takes 13-28 ms split and 14-27 ms alone, the split faster in 7 of 9
-#: measurements (by 12% in the median); at 21 it is slower in 8 of 9 (by
-#: 7%), and it saves 16-41% at 23 and about half at 26 (min of 21 walks,
-#: CPython 3.11, 2-vCPU host).  Its subtree roots, the word nodes that
-#: first reach WORD_CUT = 9 or more placed elements, are F_10 = 89, below 88
-#: with fewer.  A walk alone cuts at n - permstats.SERIAL_DEPTH instead.  A
-#: West walk never splits: it takes 1.5-3 ms to size 10 and 10-16 ms to 12.
-WORD_SPLIT_FROM, WORD_CUT = 22, 9
 
 
 def fibonacci(n: int) -> int:
@@ -181,12 +171,12 @@ class Family(NamedTuple):
     a level at a time over the S/D word tree, appending layers for the
     order-invariant families (_walked) and folding the word from both ends
     for D and D' (_folded); a level at a time down West's generating tree
-    for W1-W3 (_west_walk).  Every word walk goes through
-    permstats.split_walk, which shares large walks with a forked child
-    (WORD_SPLIT_FROM).  The oracle uses walk in place of the objects/weight
-    loop, which stays the reference.  Class generators and statistics are
-    looked up on their modules at call time, so wrappers installed after
-    import see every call.
+    for W1-W3 (_west_walk).  Every walk goes through permstats.level_walk,
+    which shares large walks with a forked child (permstats.SPLIT_FROM).
+    The oracle uses walk in place of the objects/weight loop, which stays
+    the reference.  Class generators and statistics are looked up on their
+    modules at call time, so wrappers installed after import see every
+    call.
     """
 
     objects: Callable[[int], Iterator[tuple[int, int, object]]]
@@ -263,13 +253,12 @@ def _inversions(invs: Iterable[int], m: int, k: int) -> list[int]:
 
 
 def _west_walk(wclass: str):
-    """walk(n) tallies inv at every size 0..n in one permstats.west_tree
+    """walk(n) tallies inv at every size 0..n in one permstats.west_walk
     pass, whose nodes carry only their inv."""
     def walk(n: int) -> dict[int, MultiPoly]:
-        return {m: MultiPoly({(0, 0, q, ()): c
-                              for q, c in Counter(invs).items()})
-                for m, invs in enumerate(
-                    permstats.west_tree(n, wclass, 0, _inversions))}
+        return {m: MultiPoly({(0, 0, q, ()): c for q, c in tally.items()})
+                for m, tally in enumerate(
+                    permstats.west_walk(n, wclass, 0, _inversions))}
     return walk
 
 
@@ -278,9 +267,9 @@ def _west_walk(wclass: str):
 # A member of a word family is a word over {S, D}.  The walks grow words a
 # letter at a time down a tree whose nodes of size m are the members of size
 # m, so one walk to n tallies every size 0..n.  They go a level at a time
-# (_level_walk): a level holds one column per node field, and each letter
-# builds its children's columns with one comprehension per field, at O(1)
-# per node.
+# (permstats.level_walk): a level holds one column per node field, and each
+# letter builds its children's columns with one comprehension per field, at
+# O(1) per node.
 #
 # _walked serves the families whose steps read values only by comparing them
 # (I, I', M, M', RB, C).  It appends layers on the right.  The first m values
@@ -312,35 +301,6 @@ def _west_walk(wclass: str):
 # overhang is one doubleton); _FOLD steps them.  No step reads
 # classify_prefix, the printed recursions or the block-word weights, so T5.3
 # and T5.4 still compare independent computations.
-
-
-def _level_walk(n: int, root: tuple, empty, expand):
-    """The tallies of a word walk to n through permstats.split_walk, a level
-    at a time.  empty() is a level with no node: for each slot, one empty
-    column per node field.  A node is (size, slot, *fields).  expand(m,
-    level, tally) counts the level's nodes, of size m, into tally and yields
-    (letter size, slot, columns) for their children, of size at most n."""
-    def descend(node: tuple, stop: int, tallies: list) -> list[tuple]:
-        start, end = node[0], min(stop, n + 1)
-        if start >= stop:
-            return [node]
-        levels = {m: empty() for m in range(start, end)}
-        for column, value in zip(levels[start][node[1]], node[2:]):
-            column.append(value)
-        frontier = []
-        for m in range(start, end):
-            for size, slot, kids in expand(m, levels.pop(m), tallies[m]):
-                if m + size < stop:
-                    for column, new in zip(levels[m + size][slot], kids):
-                        column += new
-                else:
-                    # a doubleton can carry a node one past stop
-                    count = len(kids[0])
-                    frontier += zip([m + size] * count, [slot] * count, *kids)
-        return frontier
-
-    return permstats.split_walk(descend, root, n, WORD_CUT,
-                                n >= WORD_SPLIT_FROM)
 
 
 def _children(step, carry, left: int, size: int, vals, columns: tuple):
@@ -378,7 +338,7 @@ def _walked(family: str):
         # the root's aux, n + 1, lies above every value
         root, empty = (((0, 0, 0, n + 1), lambda: (([], []),)) if carry else
                        ((0, 0, 0), lambda: (([],),)))
-        tallies = _level_walk(n, root, empty, expand)
+        tallies = permstats.level_walk(n, root, empty, expand)
         return {m: MultiPoly({(m - 2 * (k >> 16), k >> 16, k & 0xFFFF, ()): c
                               for k, c in tally.items()})
                 for m, tally in enumerate(tallies)}
@@ -475,8 +435,8 @@ def _folded(marks):
                             yield (s, *step(h, s, columns))
 
         # a doubleton count is at most n / 2, far below the 2^8 of a key's d
-        tallies = _level_walk(n, (0, 0, 0), lambda: (([],), ([], []), ([],)),
-                              expand)
+        tallies = permstats.level_walk(
+            n, (0, 0, 0), lambda: (([],), ([], []), ([],)), expand)
         return {m: MultiPoly({(m - 2 * (k & 0xFF), k & 0xFF,
                                *decode(k >> 8)): c for k, c in tally.items()})
                 for m, tally in enumerate(tallies)}

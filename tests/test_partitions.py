@@ -41,11 +41,6 @@ class TestConstruction:
 
 
 class TestContainment:
-    def test_paper_literal_subpartition(self):
-        # literal sub-partition containment, as opposed to pattern containment
-        assert pt.contains_subpartition(BETA, [(2, 6), (4,)])
-        assert not pt.contains_subpartition(BETA, [(1,), (2,), (3,)])
-
     def test_pattern_from_papers_subpartition(self):
         # 26/4 standardizes to the pattern 13/2, which BETA contains
         assert pt.partition_contains(BETA, pt.standardize([(2, 6), (4,)]))

@@ -5,7 +5,7 @@ recomputation."""
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfibonacci import permstats as ps
@@ -282,10 +282,37 @@ class TestWest:
             for n in range(1, ps.WEST_BOUND + 1):
                 assert len(ps.west_class(n, cls)) == fibonacci(2 * n - 2)
 
-    def test_class_equals_filter(self):
-        for cls, pats in ps.WEST_PATTERNS.items():
-            for n in range(8):
-                assert ps.west_class(n, cls) == ps.enumerate_avoiders(n, pats)
+    def test_class_equals_filter(self, monkeypatch):
+        # also walked from the nodes of size n - 2, which carry their sites
+        # and p into their subtrees
+        for depth in (ps.SERIAL_DEPTH, 2):
+            monkeypatch.setattr(ps, "SERIAL_DEPTH", depth)
+            for cls, pats in ps.WEST_PATTERNS.items():
+                for n in range(8):
+                    assert ps.west_class(n, cls) == ps.enumerate_avoiders(
+                        n, pats), (depth, cls, n)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(sorted(ps.WEST_PATTERNS)), st.integers(12, 30),
+           st.data())
+    def test_rule_along_one_path(self, cls, size, data):
+        # one path down the generating tree, past the sizes the walks reach:
+        # at each node the rule, on a level of that one node, gives exactly
+        # the gaps whose child avoids the patterns, and a drawn one of them
+        # is the next node, with the sites _west_gaps gives it
+        pats = ps.WEST_PATTERNS[cls]
+        sigma, sites, p = (), 0b1, 0
+        for m in range(size):
+            legal, = ps.WEST_RULES[cls]([sites], [p], m)
+            children = {k: sigma[:k] + (m + 1,) + sigma[k:]
+                        for k in range(m + 1)}
+            for k, child in children.items():
+                assert (legal >> k & 1) == ps.avoids_all(child, pats), (
+                    cls, sigma, k)
+            gaps = {k: kid_sites[0]
+                    for k, _, kid_sites in ps._west_gaps([legal], m, False)}
+            p = data.draw(st.sampled_from(sorted(gaps)))
+            sigma, sites = children[p], gaps[p]
 
     def test_bound(self):
         with pytest.raises(ps.BoundExceeded):

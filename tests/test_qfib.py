@@ -70,24 +70,30 @@ class TestWalk:
         assert set(qfib.FAMILY) == {*WORD_FAMILIES, *WEST_FAMILIES}
 
     def test_one_walk_serves_every_size(self, monkeypatch):
-        # every word family tallies every depth of one walk, alone and
-        # split, from every cut: at 0 the root is the one root, past n there
-        # is none, and between them a doubleton carries nodes past it
-        monkeypatch.setattr(qfib, "WORD_SPLIT_FROM", 0)
+        # every family tallies every depth of one walk, alone and split,
+        # from every cut: at 0 the root is the one root, past n there is
+        # none, and between them a doubleton carries word nodes past it and
+        # West nodes carry their sites and p; the references are built
+        # before any walk is forced to split
+        cases = [(fam, top, [qfib._brute_force(fam, n)
+                             for n in range(top + 1)])
+                 for fams, top in ((WORD_FAMILIES, 16), (WEST_FAMILIES, 10))
+                 for fam in fams]
+        monkeypatch.setattr(permstats, "SPLIT_FROM", 0)
         forks = count_forks(monkeypatch)
-        for fam in WORD_FAMILIES:
-            want = [qfib._brute_force(fam, n) for n in range(17)]
-            for cut in (0, 1, 5, 9, 16, 17):
-                # split at WORD_CUT, alone at 16 - SERIAL_DEPTH
-                monkeypatch.setattr(qfib, "WORD_CUT", cut)
-                monkeypatch.setattr(permstats, "SERIAL_DEPTH", 16 - cut)
+        for fam, top, want in cases:
+            for cut in (0, 1, 5, 9, top, top + 1):
+                # split at SPLIT_CUT, alone at top - SERIAL_DEPTH
+                monkeypatch.setattr(permstats, "SPLIT_CUT", cut)
+                monkeypatch.setattr(permstats, "SERIAL_DEPTH", top - cut)
                 for cpus in ((0,), (0, 1)):
                     set_cpus(monkeypatch, cpus)
-                    polys = qfib.FAMILY[fam].walk(16)
-                    assert list(polys) == list(range(17)), (fam, cut, cpus)
+                    polys = qfib.FAMILY[fam].walk(top)
+                    assert list(polys) == list(range(top + 1)), (fam, cut,
+                                                                  cpus)
                     assert list(polys.values()) == want, (fam, cut, cpus)
-        # every cut but 17 leaves roots to share
-        assert len(forks) == 5 * len(WORD_FAMILIES)
+        # every cut but top + 1 leaves roots to share
+        assert len(forks) == 5 * len(cases)
         assert_no_child()
 
     def test_fold_table_from_the_ladder(self):
@@ -166,7 +172,7 @@ class TestWalk:
 
     def test_west_walk_serves_every_size(self):
         # one walk down the generating tree tallies every depth; the class
-        # sizes F_{2m-2} also catch a fault of permstats.west_tree, which
+        # sizes F_{2m-2} also catch a fault of permstats.west_walk, which
         # west_class and so _brute_force also run
         for fam in WEST_FAMILIES:
             polys = qfib.FAMILY[fam].walk(11)
@@ -189,7 +195,7 @@ class TestWalk:
 
     def test_west_walk_equals_filter(self):
         # the filter shares nothing with the walk; _brute_force does, as
-        # west_class sorts the nodes of the walk's own west_tree
+        # west_class sorts the nodes of the walk's own west_walk
         for fam in WEST_FAMILIES:
             pats = permstats.WEST_PATTERNS[fam]
             polys = qfib.FAMILY[fam].walk(7)
@@ -383,7 +389,7 @@ class TestSplitWalk:
         # the roots, then the parent's share and no fallback walk, so the
         # child took the rest
         assert len(calls[0][2]) == 89 and len(forks) == 1
-        assert deep_walks(calls, qfib.WORD_CUT, n) == drawn
+        assert deep_walks(calls, permstats.SPLIT_CUT, n) == drawn
         calls.clear()
         set_cpus(monkeypatch, (0,))
         assert walk(n) == split
@@ -428,7 +434,8 @@ class TestSplitWalk:
         set_cpus(monkeypatch, (0, 1))
         assert walk(n) == serial
         assert len(forks) == 1
-        assert sorted(deep_walks(calls, qfib.WORD_CUT, n)) == list(range(89))
+        assert sorted(deep_walks(calls, permstats.SPLIT_CUT, n)) == list(
+            range(89))
         assert_no_child()
 
     def test_toy_descend_counts_words(self):
