@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
 
-#: Largest n accepted by the brute-force filter enumerations (n! scan).
+#: Largest n accepted by the brute-force filter, enumerate_avoiders.
 FILTER_BOUND = 9
 
 #: Largest size generated for the West classes.  Size n has F_{2n-2}
@@ -209,15 +209,6 @@ def enumerate_avoiders(n: int,
 
     walk()
     return out
-
-
-def enumerate_avoiders_scan(n: int,
-                            patterns: Iterable[Sequence[int]]) -> list[Perm]:
-    """Plain n!-scan filter; slower cross-check for enumerate_avoiders."""
-    check_size(n, FILTER_BOUND, "filter enumeration")
-    pats = [tuple(p) for p in patterns]
-    return [p for p in itertools.permutations(range(1, n + 1))
-            if avoids_all(p, pats)]
 
 
 # -- cycle decomposition ---------------------------------------------------
@@ -586,15 +577,16 @@ def split_walk(descend: Descend, root: tuple, n: int, cut: int,
     split = (big and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              and len(os.sched_getaffinity(0)) >= 2)
     roots = descend(root, cut if split else max(n - SERIAL_DEPTH, 0), tallies)
-    if not (split and roots):
+    # the tickets, 4 bytes a root, are all written before the fork, so more
+    # than 1,024 roots could fill a pipe's smallest buffer (4 KiB on Linux)
+    # and block the write: they are walked here alone.  A word walk's 89
+    # roots take 356 bytes
+    if not (split and 0 < len(roots) <= 1024):
         for node in roots:
             descend(node, n + 1, tallies)
         return tallies
     read_end, write_end = os.pipe()
     with open(read_end, "rb", buffering=0) as tickets:
-        # 4 bytes a root, all written before any is drawn, so they must
-        # stay below the pipe's buffer (4 KiB or more on Linux): a word
-        # walk's 89 roots take 356 bytes
         with open(write_end, "wb") as deal:
             deal.write(b"".join(k.to_bytes(4, "little")
                                 for k in range(len(roots))))

@@ -583,10 +583,6 @@ Y = MultiPoly.var("y")
 Q = MultiPoly.var("q")
 
 
-def z_var(i: int) -> MultiPoly:
-    return MultiPoly.var(f"z{i}")
-
-
 def q_pow(e: int) -> MultiPoly:
     """q^e as a polynomial (e may be negative)."""
     return MultiPoly.term(1, q=e)

@@ -12,8 +12,8 @@ Families (polynomial index n = size of the underlying objects):
   W1-W3   inv over West's doubly restricted classes (F_{2n-2} members at
           size n; the polynomial for size n is indexed here by n itself)
 
-Each family is declared once, in the FAMILY table: its class, statistic,
-oracle bound and printed recursion.  The oracles visit every member of the
+Each family is one entry of the FAMILY table: its printed recursion and
+bases, its walk and its oracle bound.  The oracles visit every member of the
 defining combinatorial class by a walk that computes the statistic step by
 step: over the S/D words for the word families, down West's generating tree
 for W1-W3.  Recursions and identities are hypotheses checked against them.
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from . import blockwords, partitions, permstats
+from . import partitions, permstats
 from .polyring import MultiPoly, q_pow
 
 #: Oracle size cap of the word-structured classes (the T4.5 suite touches
@@ -163,24 +163,16 @@ def _rec_W3(first_family: str = "W2", lo: int = 1, hi_off: int = -1):
 class Family(NamedTuple):
     """One q-Fibonacci family.
 
-    objects(n) yields (x exponent, y exponent, object) for every member of
-    the defining class at size n; weight(object) is its (q exponent, z
-    exponents).  recursion is the printed right-hand side (None when there
-    is none) and bases holds the values at the sizes it does not cover.
-    walk(n) maps every size 0..n to its polynomial from one pass to size n:
-    a level at a time over the S/D word tree, appending layers for the
-    order-invariant families (_walked) and folding the word from both ends
-    for D and D' (_folded); a level at a time down West's generating tree
-    for W1-W3 (_west_walk).  Every walk goes through permstats.level_walk,
-    which shares large walks with a forked child (permstats.SPLIT_FROM).
-    The oracle uses walk in place of the objects/weight loop, which stays
-    the reference.  Class generators and statistics are looked up on their
-    modules at call time, so wrappers installed after import see every
-    call.
+    recursion is the printed right-hand side (None when there is none) and
+    bases holds the values at the sizes it does not cover.  walk(n) maps
+    every size 0..n to its polynomial from one pass to size n: a level at a
+    time over the S/D word tree, appending layers for the order-invariant
+    families (_walked) and folding the word from both ends for D and D'
+    (_folded); a level at a time down West's generating tree for W1-W3
+    (_west_walk).  Every walk goes through permstats.level_walk, which
+    shares large walks with a forked child (permstats.SPLIT_FROM).
     """
 
-    objects: Callable[[int], Iterator[tuple[int, int, object]]]
-    weight: Callable[[object], tuple[int, tuple]]
     recursion: Rhs | None
     bases: Mapping[int, MultiPoly]
     walk: Callable[[int], dict[int, MultiPoly]]
@@ -192,54 +184,6 @@ class Family(NamedTuple):
         if n in self.bases:
             return self.bases[n]
         return (rhs or self.recursion)(n, get)
-
-
-def _words(orientation: str | None):
-    """Block words of size n, as their (reverse) layered matching, or as
-    words when orientation is None."""
-    def objects(n: int):
-        for w in blockwords.iter_words(n):
-            yield w.count("S"), w.count("D"), (
-                w if orientation is None
-                else permstats.perm_from_word(w, orientation))
-    return objects
-
-
-def _layered_matchings(n: int):
-    for alpha in partitions.enumerate_layered_matchings(n):
-        yield (*partitions.singleton_doubleton_counts(alpha), alpha)
-
-
-def _west(wclass: str):
-    def objects(n: int):
-        for p in permstats.west_class(n, wclass):
-            yield 0, 0, p
-    return objects
-
-
-def _inv(p):
-    return permstats.inv(p), ()
-
-
-def _maj(p):
-    return permstats.maj(p), ()
-
-
-def _cycles(p):
-    return permstats.cycle_decomposition(p).cycle_count, ()
-
-
-def _cycle_type(p):
-    counts = permstats.cycle_decomposition(p).length_counts()
-    return 0, tuple(counts.items())
-
-
-def _morse(w):
-    return blockwords.morse_weight(w), ()
-
-
-def _rb(alpha):
-    return partitions.rb(alpha), ()
 
 
 # -- the West walk ------------------------------------------------------------
@@ -579,29 +523,22 @@ _ONE, _X = MultiPoly.one(), _t(1, x=1)
 # on; their bases are the class values (the size-2 members of W1 are 12 and
 # 21).
 FAMILY: dict[str, Family] = {
-    "I": Family(_words("reverse-layered"), _inv, _rec_I, {0: _ONE, 1: _X},
-                _walked("I")),
-    "I'": Family(_words("layered"), _inv, _reversal_of("I"), {},
-                 _walked("I'")),
-    "M": Family(_words("reverse-layered"), _maj, _rec_M, {0: _ONE, 1: _X},
-                _walked("M")),
-    "M'": Family(_words("layered"), _maj, _reversal_of("M"), {},
-                 _walked("M'")),
-    "RB": Family(_layered_matchings, _rb, None, {}, _walked("RB")),
-    "C": Family(_words(None), _morse, _rec_C, {0: _ONE, 1: _X},
-                _walked("C")),
-    "D": Family(_words("reverse-layered"), _cycles, _rec_D("D"),
-                {0: _ONE, 1: _t(1, x=1, q=1)}, _folded(_count_marks)),
-    "D'": Family(_words("reverse-layered"), _cycle_type, _rec_D("D'"),
-                 {0: _ONE, 1: _t(1, x=1, z=((1, 1),))},
+    "I": Family(_rec_I, {0: _ONE, 1: _X}, _walked("I")),
+    "I'": Family(_reversal_of("I"), {}, _walked("I'")),
+    "M": Family(_rec_M, {0: _ONE, 1: _X}, _walked("M")),
+    "M'": Family(_reversal_of("M"), {}, _walked("M'")),
+    "RB": Family(None, {}, _walked("RB")),
+    "C": Family(_rec_C, {0: _ONE, 1: _X}, _walked("C")),
+    "D": Family(_rec_D("D"), {0: _ONE, 1: _t(1, x=1, q=1)},
+                _folded(_count_marks)),
+    "D'": Family(_rec_D("D'"), {0: _ONE, 1: _t(1, x=1, z=((1, 1),))},
                  _folded(_type_marks)),
-    "W1": Family(_west("W1"), _inv, _rec_W1(),
-                 {0: _ONE, 1: _ONE, 2: _ONE + q_pow(1)}, _west_walk("W1"),
+    "W1": Family(_rec_W1(), {0: _ONE, 1: _ONE, 2: _ONE + q_pow(1)},
+                 _west_walk("W1"), permstats.WEST_BOUND),
+    "W2": Family(_rec_W2(), {0: _ONE, 1: _ONE}, _west_walk("W2"),
                  permstats.WEST_BOUND),
-    "W2": Family(_west("W2"), _inv, _rec_W2(), {0: _ONE, 1: _ONE},
-                 _west_walk("W2"), permstats.WEST_BOUND),
-    "W3": Family(_west("W3"), _inv, _rec_W3(), {0: _ONE, 1: _ONE},
-                 _west_walk("W3"), permstats.WEST_BOUND),
+    "W3": Family(_rec_W3(), {0: _ONE, 1: _ONE}, _west_walk("W3"),
+                 permstats.WEST_BOUND),
 }
 
 FAMILIES = tuple(FAMILY)
@@ -626,18 +563,6 @@ def check_oracle_bound(family: str, n: int) -> None:
     """Raise unless the family is known and 0 <= n <= its oracle bound."""
     permstats.check_size(n, lookup_family(family).bound,
                          f"family {family} oracle")
-
-
-def _brute_force(family: str, n: int) -> MultiPoly:
-    """The family's polynomial from its objects, the weight computed on
-    each object: the tests' reference for the walks."""
-    fam = FAMILY[family]
-    acc: dict[tuple, int] = {}
-    for x, y, obj in fam.objects(n):
-        q, z = fam.weight(obj)
-        k = (x, y, q, z)
-        acc[k] = acc.get(k, 0) + 1
-    return MultiPoly(acc)
 
 
 def qfib_oracle(family: str, n: int) -> MultiPoly:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfibonacci import polyring
-from qfibonacci.polyring import MultiPoly, Q, X, Y, q_pow, z_var
+from qfibonacci.polyring import MultiPoly, Q, X, Y, q_pow
 
 
 def T(coeff=1, x=0, y=0, q=0, z=()):
@@ -512,8 +512,8 @@ class TestSubstitute:
         assert p.substitute({"z": 1}) == T(1, x=3) + T(2, x=1, y=1)
 
     def test_single_z_index(self):
-        p = z_var(1) * z_var(2)
-        assert p.substitute({"z1": Q}) == Q * z_var(2)
+        p = MultiPoly.var("z1") * MultiPoly.var("z2")
+        assert p.substitute({"z1": Q}) == Q * MultiPoly.var("z2")
 
     def test_rejects_sum_target(self):
         with pytest.raises(ValueError):
@@ -637,7 +637,7 @@ class TestSubstituteMatchesReference:
               {"z": 1}))
     @example((T(1, q=-2, z=((5, 1),)) + X, {}))
     @example((T(1, q=-1, z=((3, 2 ** 30),)),
-              {"q": z_var(1), "z3": z_var(3) ** 2}))
+              {"q": MultiPoly.var("z1"), "z3": MultiPoly.var("z3") ** 2}))
     def test_agrees(self, case):
         # a z -> 1 image is shorter than the fields it clears, {} fixes
         # every key, and the last example takes z1 below 0 and z3 above

@@ -5,6 +5,8 @@ import hashlib
 import marshal
 import math
 import os
+import signal
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +26,59 @@ SPLIT_SIZES = [(f, n) for f in WORD_FAMILIES for n in (22, 23)]
 
 def P(text):
     return MultiPoly.parse(text)
+
+
+# The brute-force reference for the walks, (members, weight) per family:
+# members(n) yields (x exponent, y exponent, member) for every member of the
+# class at size n, and weight(member) is its (q exponent, z exponents).
+
+
+def words(orientation=None):
+    """Block words of size n, as their (reverse) layered matching, or as
+    words when orientation is None."""
+    def members(n):
+        for w in blockwords.iter_words(n):
+            yield w.count("S"), w.count("D"), (
+                w if orientation is None
+                else permstats.perm_from_word(w, orientation))
+    return members
+
+
+def layered_matchings(n):
+    for alpha in partitions.enumerate_layered_matchings(n):
+        yield (*partitions.singleton_doubleton_counts(alpha), alpha)
+
+
+def west(wclass):
+    return lambda n: ((0, 0, p) for p in permstats.west_class(n, wclass))
+
+
+def on_q(statistic):
+    return lambda member: (statistic(member), ())
+
+
+def cycle_type(p):
+    return 0, tuple(permstats.cycle_decomposition(p).length_counts().items())
+
+
+REV, LAY = words("reverse-layered"), words("layered")
+INV = on_q(permstats.inv)
+REFERENCE = {
+    "I": (REV, INV), "I'": (LAY, INV),
+    "M": (REV, on_q(permstats.maj)), "M'": (LAY, on_q(permstats.maj)),
+    "RB": (layered_matchings, on_q(partitions.rb)),
+    "C": (words(), on_q(blockwords.morse_weight)),
+    "D": (REV, on_q(lambda p: permstats.cycle_decomposition(p).cycle_count)),
+    "D'": (REV, cycle_type),
+    "W1": (west("W1"), INV), "W2": (west("W2"), INV), "W3": (west("W3"), INV),
+}
+
+
+def reference(family, n):
+    """The family's polynomial at size n, member by member."""
+    members, weight = REFERENCE[family]
+    return MultiPoly(Counter((x, y, *weight(member))
+                             for x, y, member in members(n)))
 
 
 class TestOracle:
@@ -68,6 +123,8 @@ class TestWalk:
     def test_every_family_walks(self):
         assert all(callable(fam.walk) for fam in qfib.FAMILY.values())
         assert set(qfib.FAMILY) == {*WORD_FAMILIES, *WEST_FAMILIES}
+        # no family skips its reference
+        assert set(REFERENCE) == set(qfib.FAMILY)
 
     def test_one_walk_serves_every_size(self, monkeypatch):
         # every family tallies every depth of one walk, alone and split,
@@ -75,7 +132,7 @@ class TestWalk:
         # none, and between them a doubleton carries word nodes past it and
         # West nodes carry their sites and p; the references are built
         # before any walk is forced to split
-        cases = [(fam, top, [qfib._brute_force(fam, n)
+        cases = [(fam, top, [reference(fam, n)
                              for n in range(top + 1)])
                  for fams, top in ((WORD_FAMILIES, 16), (WEST_FAMILIES, 10))
                  for fam in fams]
@@ -92,8 +149,12 @@ class TestWalk:
                     assert list(polys) == list(range(top + 1)), (fam, cut,
                                                                   cpus)
                     assert list(polys.values()) == want, (fam, cut, cpus)
-        # every cut but top + 1 leaves roots to share
-        assert len(forks) == 5 * len(cases)
+        # every cut but top + 1 leaves roots to share, and every walk with
+        # them splits but those whose roots need more than split_walk's
+        # 1,024 tickets: a word walk cut at top (F_16 = 1,597 roots), and a
+        # West walk cut at 9 (F_16) or at top (F_18 = 4,181)
+        assert len(forks) == (5 * len(cases) - len(WORD_FAMILIES)
+                              - 2 * len(WEST_FAMILIES))
         assert_no_child()
 
     def test_fold_table_from_the_ladder(self):
@@ -156,7 +217,7 @@ class TestWalk:
         n = sum(size for _, size in layout)
         for fam, obj in objects.items():
             path = qfib._walked_path(word, fam)
-            q, _ = qfib.FAMILY[fam].weight(obj)
+            q, _ = REFERENCE[fam][1](obj)
             assert divmod(path[-1][0], 1 << 16) == (word.count("D"), q), fam
             if fam == "C":
                 assert {len(node) for node in path} == {1}
@@ -173,12 +234,12 @@ class TestWalk:
     def test_west_walk_serves_every_size(self):
         # one walk down the generating tree tallies every depth; the class
         # sizes F_{2m-2} also catch a fault of permstats.west_walk, which
-        # west_class and so _brute_force also run
+        # west_class and so the reference also run
         for fam in WEST_FAMILIES:
             polys = qfib.FAMILY[fam].walk(11)
             assert list(polys) == list(range(12)), fam
             for m in range(12):
-                assert polys[m] == qfib._brute_force(fam, m), (fam, m)
+                assert polys[m] == reference(fam, m), (fam, m)
                 assert polys[m].evaluate(q=1) == (
                     qfib.fibonacci(2 * m - 2) if m else 1), (fam, m)
 
@@ -187,14 +248,14 @@ class TestWalk:
         # own n, and every size it tallies on the way is the same
         for fam in WEST_FAMILIES:
             walk = qfib.FAMILY[fam].walk
-            want = [qfib._brute_force(fam, n) for n in range(11)]
+            want = [reference(fam, n) for n in range(11)]
             for n in range(11):
                 polys = walk(n)
                 assert list(polys) == list(range(n + 1)), (fam, n)
                 assert list(polys.values()) == want[:n + 1], (fam, n)
 
     def test_west_walk_equals_filter(self):
-        # the filter shares nothing with the walk; _brute_force does, as
+        # the filter shares nothing with the walk; the reference does, as
         # west_class sorts the nodes of the walk's own west_walk
         for fam in WEST_FAMILIES:
             pats = permstats.WEST_PATTERNS[fam]
@@ -213,7 +274,7 @@ class TestWalk:
         # at its own n, and every size it tallies on the way is the same
         for fam in ("D", "D'"):
             walk = qfib.FAMILY[fam].walk
-            want = [qfib._brute_force(fam, n) for n in range(17)]
+            want = [reference(fam, n) for n in range(17)]
             for n in range(17):
                 polys = walk(n)
                 assert list(polys) == list(range(n + 1)), (fam, n)
@@ -455,6 +516,29 @@ class TestSplitWalk:
         assert permstats.split_walk(word_descend(n), "", n, cut,
                                     True) == alone
         assert len(forks) == forked
+        assert_no_child()
+
+    def test_more_roots_than_tickets_walk_alone(self, monkeypatch):
+        # 28,657 roots would write 114,628 bytes of tickets before the fork,
+        # more than a 64 KiB pipe holds, and block that write for good; the
+        # alarm turns such a hang into a failure
+        n, cut = 22, 21
+        set_cpus(monkeypatch, (0,))
+        alone = permstats.split_walk(word_descend(n), "", n, cut, True)
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, (0, 1))
+
+        def hang(signum, frame):
+            raise TimeoutError("split_walk blocked")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            split = permstats.split_walk(word_descend(n), "", n, cut, True)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert split == alone
+        assert forks == []
         assert_no_child()
 
     def test_short_count_walks_the_rest(self, monkeypatch):
@@ -734,7 +818,7 @@ class TestCacheSafety:
         before = qfib.qfib_oracle(family, n).canonical_text()
         _use(qfib.qfib_oracle(family, n))
         assert qfib.qfib_oracle(family, n).canonical_text() == before
-        assert qfib.qfib_oracle(family, n) == qfib._brute_force(family, n)
+        assert qfib.qfib_oracle(family, n) == reference(family, n)
 
     @given(st.sampled_from(qfib.RECURSIVE_FAMILIES), st.integers(0, 12))
     @settings(deadline=None, max_examples=40)
