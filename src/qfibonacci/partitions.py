@@ -58,16 +58,16 @@ def partition_to_text(alpha: SetPartition) -> str:
 
 
 def partition_from_text(text: str) -> SetPartition:
+    """The inverse of partition_to_text.  A text with no comma and at most
+    9 digits holds one value per digit; any other is read chunk by chunk,
+    each chunk's values separated by commas ("1/2/3/4/5/6/7/8/9/10")."""
     s = text.strip()
     if not s:
         return ()
-    blocks = []
-    for chunk in s.split("/"):
-        if "," in chunk:
-            blocks.append(tuple(int(t) for t in chunk.split(",")))
-        else:
-            blocks.append(tuple(int(ch) for ch in chunk.strip()))
-    return make_partition(blocks)
+    digits = "," not in s and sum(ch.isdigit() for ch in s) <= 9
+    return make_partition(
+        tuple(int(ch) for ch in chunk.strip()) if digits else
+        tuple(int(t) for t in chunk.split(",")) for chunk in s.split("/"))
 
 
 # -- containment ---------------------------------------------------------------

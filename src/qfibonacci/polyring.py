@@ -191,20 +191,6 @@ class MultiPoly:
         """The single-term polynomial coeff * x^x * y^y * q^q * prod z_i^e."""
         return cls({(x, y, q, tuple(z)): coeff})
 
-    @classmethod
-    def var(cls, name: str) -> "MultiPoly":
-        """The variable polynomial for 'x', 'y', 'q' or 'z<i>'."""
-        if name == "x":
-            return cls.term(1, x=1)
-        if name == "y":
-            return cls.term(1, y=1)
-        if name == "q":
-            return cls.term(1, q=1)
-        m = re.fullmatch(r"z([1-9][0-9]*)", name)
-        if m:
-            return cls.term(1, z=((int(m.group(1)), 1),))
-        raise ValueError(f"unknown variable {name!r}")
-
     # -- basic queries ------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Monomial, int]]:
@@ -575,12 +561,6 @@ class _Texts(dict):
     def __missing__(self, key):
         text = self[key] = self.render(key)
         return text
-
-
-# Convenience variable constants.
-X = MultiPoly.var("x")
-Y = MultiPoly.var("y")
-Q = MultiPoly.var("q")
 
 
 def q_pow(e: int) -> MultiPoly:

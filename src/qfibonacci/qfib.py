@@ -17,9 +17,10 @@ bases, its walk and its oracle bound.  The oracles visit every member of the
 defining combinatorial class by a walk that computes the statistic step by
 step: over the S/D words for the word families, down West's generating tree
 for W1-W3.  Recursions and identities are hypotheses checked against them.
-Several printed statements carry typos, so the verifier evaluates cataloged
-variant readings per instance and reports which reading, if any, agrees
-with the oracle.
+Each identity is one entry of the _CATALOG table: its index range and its
+readings, the as-printed one first.  Several printed statements carry
+typos, so the verifier evaluates every reading per instance and reports
+which reading, if any, agrees with the oracle.
 """
 
 from __future__ import annotations
@@ -608,37 +609,27 @@ def closed_form_I(n: int) -> MultiPoly:
 # -- identity catalog ---------------------------------------------------------
 
 
-class Reading(NamedTuple):
-    name: str
-    build: Callable[..., tuple[MultiPoly, MultiPoly]]
-
-
 class IdentityDef(NamedTuple):
-    ident: str
+    """One cataloged identity.  readings maps each reading's name to its
+    builder, build(*indices) -> (lhs, rhs), the as-printed reading first."""
+
     description: str
     arity: tuple[str, ...]
     start: int
     default_max: int
-    readings: tuple[Reading, ...]
+    readings: dict[str, Callable[..., tuple[MultiPoly, MultiPoly]]]
     notes: str = ""
 
 
-class IdentityReport:
-    __slots__ = ("ident", "range_checked", "instances", "counterexample",
-                 "notes")
+class IdentityReport(NamedTuple):
+    """An identity's verdict on each instance of its range, ascending, and
+    the sides of the smallest failing instance, or None."""
 
-    def __init__(self, ident: str, range_checked: dict,
-                 instances: list | None = None,
-                 counterexample: dict | None = None, notes: str = ""):
-        self.ident = ident
-        self.range_checked = range_checked
-        self.instances = [] if instances is None else instances
-        self.counterexample = counterexample
-        self.notes = notes
-
-    def __repr__(self) -> str:
-        return "IdentityReport(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+    ident: str
+    range_checked: dict
+    instances: list
+    counterexample: dict | None = None
+    notes: str = ""
 
     @property
     def holds(self) -> bool:
@@ -676,20 +667,15 @@ def _printed(family: str, rhs: Rhs | None = None, offset: int = 0):
     return build
 
 
-def _l23(n: int):
-    return qfib_oracle("I", n), lemma23_transform(qfib_oracle("I'", n), n)
+def _reversed(family: str, other: str):
+    """The family against the reversal transform of the other family."""
+    return lambda n: (qfib_oracle(family, n),
+                      lemma23_transform(qfib_oracle(other, n), n))
 
 
-def _l24(n: int):
-    return qfib_oracle("M", n), lemma23_transform(qfib_oracle("M'", n), n)
-
-
-def _t31(n: int):
-    return qfib_oracle("M", n), qfib_oracle("RB", n)
-
-
-def _t33(n: int):
-    return qfib_oracle("M'", n), qfib_oracle("C", n)
+def _equal(family: str, other: str):
+    """Two families with the same distribution."""
+    return lambda n: (qfib_oracle(family, n), qfib_oracle(other, n))
 
 
 def _t41(m: int, n: int):
@@ -759,145 +745,123 @@ def _t47(n: int):
          _oracle_at("I", j)) for j in range(n + 1))
 
 
-def _build_catalog() -> tuple[IdentityDef, ...]:
-    asis = "as-printed"
-    return (
-        IdentityDef("T2.1", "inversion-family recursion vs oracle", ("n",),
-                    0, 12, (Reading(asis, _printed("I")),)),
-        IdentityDef("T2.2", "major-index-family recursion vs oracle", ("n",),
-                    0, 12, (Reading(asis, _printed("M")),)),
-        IdentityDef("L2.3", "reversal transform between the inv families",
-                    ("n",), 0, 12, (Reading(asis, _l23),)),
-        IdentityDef("L2.4", "block-word transform between the maj families",
-                    ("n",), 0, 12, (Reading(asis, _l24),)),
-        IdentityDef("T3.1", "maj distribution equals rb distribution", ("n",),
-                    0, 9, (Reading(asis, _t31),)),
-        IdentityDef("T3.3", "layered maj distribution equals Morse weight",
-                    ("n",), 0, 12, (Reading(asis, _t33),)),
-        IdentityDef("T4.1", "two-index splitting of the inversion family",
-                    ("m", "n"), 1, 14, (Reading(asis, _t41),)),
-        IdentityDef("T4.3a", "marker shift x->xq, y->yq^2 scales by q^n",
-                    ("n",), 0, 12, (Reading(asis, _t43a),)),
-        IdentityDef("T4.3b", "q-content extraction at q=1", ("n",),
-                    0, 12, (Reading(asis, _t43b),)),
-        IdentityDef("CASSINI", "Cassini-like identity", ("n",), 1, 12,
-                    (Reading("q*Fn^2", _cassini(False)),
-                     Reading("(q*Fn)^2", _cassini(True))),
-                    notes="The printed display has unbalanced parentheses; "
-                          "both groupings are checked."),
-        IdentityDef("T4.4", "split at the first doubleton", ("n",),
-                    0, 12, (Reading(asis, _t44),)),
-        IdentityDef("T4.5", "odd index split at the first singleton", ("n",),
-                    0, 12, (Reading(asis, _t45),)),
-        IdentityDef("T4.6", "even index split at the first singleton", ("n",),
-                    0, 12,
-                    (Reading(asis, _t46(lambda n: n * (n - 1))),
-                     Reading("first-term-2n(n-1)",
-                             _t46(lambda n: 2 * n * (n - 1)))),
-                    notes="The printed all-doubleton term y^n q^{n(n-1)} "
-                          "undercounts the doubled doubleton weight; the "
-                          "closed form gives y^n q^{C(2n,2)-n} = y^n "
-                          "q^{2n(n-1)}."),
-        IdentityDef("T4.7", "product F_{n+1} F_n split by the first singleton",
-                    ("n",), 0, 12, (Reading(asis, _t47),)),
-        IdentityDef("T5.3", "cycle-count recursion from interleaved prefixes",
-                    ("n",), 0, 10,
-                    (Reading(asis, _printed("D", offset=2)),
-                     Reading("dd-term-y2q",
-                             _printed("D", _rec_D("D", dd_exp=1), 2)),
-                     Reading("subscript-n+2-2k",
-                             _printed("D", _rec_D("D", shift=2), 2)),
-                     Reading("dd-term-y2q,subscript-n+2-2k",
-                             _printed("D", _rec_D("D", 1, 2), 2))),
-                    notes="Statement vs proof disagree on the dd prefix "
-                          "coefficient, and the sum's subscript is off by "
-                          "the prefix size; residual-led words (odd cycles) "
-                          "are unaccounted for by every reading."),
-        IdentityDef("T5.4", "cycle-type recursion from interleaved prefixes",
-                    ("n",), 0, 10, (Reading(asis, _printed("D'", offset=2)),)),
-        IdentityDef("T6.1", "gap-insertion recursion for S_n(123,2143)",
-                    ("n",), 2, 10,
-                    (Reading(asis, _printed("W1", offset=1)),
-                     Reading("exponent-minus-C(k,2)",
-                             _printed("W1", _rec_W1(-1), 1))),
-                    notes="Indices follow the statement: instance n checks "
-                          "F_2n (size n+1) against size-n data.  Both "
-                          "exponent readings fail: members can have the new "
-                          "largest value past the second gap without the "
-                          "forced top-value prefix (e.g. 3142), and members "
-                          "of that shape do not split off a free class tail "
-                          "(tail values above the prefix minimum must "
-                          "descend), so no reading of the printed shape can "
-                          "match the class."),
-        IdentityDef("T6.2", "gap-insertion recursion for S_n(132,3241)",
-                    ("n",), 1, 10,
-                    (Reading(asis, _printed("W2")),
-                     Reading("proof-bounds-2..n-1",
-                             _printed("W2", _rec_W2(2, 0, 1))),
-                     Reading("derived-tail-size-n-k",
-                             _printed("W2", _rec_W2(2, 0, 0)))),
-                    notes="Instance 1 checks the printed base F_0 = 1.  The "
-                          "printed subscript F_{2n-2k-4} undercounts the "
-                          "interior-gap tail by one element."),
-        IdentityDef("T6.3", "gap-insertion recursion for S_n(132,3412)",
-                    ("n",), 1, 10,
-                    (Reading(asis, _printed("W3")),
-                     Reading("first-term-W3",
-                             _printed("W3", _rec_W3("W3", 1, -1))),
-                     Reading("derived-gap-indexed-sum",
-                             _printed("W3", _rec_W3("W3", 2, 0)))),
-                    notes="Instance 1 checks the printed base F_0 = 1.  The "
-                          "printed first term references the W2 family; the "
-                          "derived reading indexes the sum by the gap "
-                          "position k = 2..n-1 with left part of size k-1."),
-    )
+_ASIS = "as-printed"
 
+#: The identities by id, in report order.
+_CATALOG: dict[str, IdentityDef] = {
+    "T2.1": IdentityDef("inversion-family recursion vs oracle", ("n",), 0, 12,
+                        {_ASIS: _printed("I")}),
+    "T2.2": IdentityDef("major-index-family recursion vs oracle", ("n",), 0,
+                        12, {_ASIS: _printed("M")}),
+    "L2.3": IdentityDef("reversal transform between the inv families", ("n",),
+                        0, 12, {_ASIS: _reversed("I", "I'")}),
+    "L2.4": IdentityDef("block-word transform between the maj families",
+                        ("n",), 0, 12, {_ASIS: _reversed("M", "M'")}),
+    "T3.1": IdentityDef("maj distribution equals rb distribution", ("n",), 0,
+                        9, {_ASIS: _equal("M", "RB")}),
+    "T3.3": IdentityDef("layered maj distribution equals Morse weight",
+                        ("n",), 0, 12, {_ASIS: _equal("M'", "C")}),
+    "T4.1": IdentityDef("two-index splitting of the inversion family",
+                        ("m", "n"), 1, 14, {_ASIS: _t41}),
+    "T4.3a": IdentityDef("marker shift x->xq, y->yq^2 scales by q^n", ("n",),
+                         0, 12, {_ASIS: _t43a}),
+    "T4.3b": IdentityDef("q-content extraction at q=1", ("n",), 0, 12,
+                         {_ASIS: _t43b}),
+    "CASSINI": IdentityDef("Cassini-like identity", ("n",), 1, 12,
+                           {"q*Fn^2": _cassini(False),
+                            "(q*Fn)^2": _cassini(True)},
+                           notes="The printed display has unbalanced "
+                                 "parentheses; both groupings are checked."),
+    "T4.4": IdentityDef("split at the first doubleton", ("n",), 0, 12,
+                        {_ASIS: _t44}),
+    "T4.5": IdentityDef("odd index split at the first singleton", ("n",), 0,
+                        12, {_ASIS: _t45}),
+    "T4.6": IdentityDef(
+        "even index split at the first singleton", ("n",), 0, 12,
+        {_ASIS: _t46(lambda n: n * (n - 1)),
+         "first-term-2n(n-1)": _t46(lambda n: 2 * n * (n - 1))},
+        notes="The printed all-doubleton term y^n q^{n(n-1)} undercounts "
+              "the doubled doubleton weight; the closed form gives y^n "
+              "q^{C(2n,2)-n} = y^n q^{2n(n-1)}."),
+    "T4.7": IdentityDef("product F_{n+1} F_n split by the first singleton",
+                        ("n",), 0, 12, {_ASIS: _t47}),
+    "T5.3": IdentityDef(
+        "cycle-count recursion from interleaved prefixes", ("n",), 0, 10,
+        {_ASIS: _printed("D", offset=2),
+         "dd-term-y2q": _printed("D", _rec_D("D", dd_exp=1), 2),
+         "subscript-n+2-2k": _printed("D", _rec_D("D", shift=2), 2),
+         "dd-term-y2q,subscript-n+2-2k": _printed("D", _rec_D("D", 1, 2), 2)},
+        notes="Statement vs proof disagree on the dd prefix coefficient, "
+              "and the sum's subscript is off by the prefix size; "
+              "residual-led words (odd cycles) are unaccounted for by every "
+              "reading."),
+    "T5.4": IdentityDef("cycle-type recursion from interleaved prefixes",
+                        ("n",), 0, 10, {_ASIS: _printed("D'", offset=2)}),
+    "T6.1": IdentityDef(
+        "gap-insertion recursion for S_n(123,2143)", ("n",), 2, 10,
+        {_ASIS: _printed("W1", offset=1),
+         "exponent-minus-C(k,2)": _printed("W1", _rec_W1(-1), 1)},
+        notes="Indices follow the statement: instance n checks F_2n (size "
+              "n+1) against size-n data.  Both exponent readings fail: "
+              "members can have the new largest value past the second gap "
+              "without the forced top-value prefix (e.g. 3142), and members "
+              "of that shape do not split off a free class tail (tail values "
+              "above the prefix minimum must descend), so no reading of the "
+              "printed shape can match the class."),
+    "T6.2": IdentityDef(
+        "gap-insertion recursion for S_n(132,3241)", ("n",), 1, 10,
+        {_ASIS: _printed("W2"),
+         "proof-bounds-2..n-1": _printed("W2", _rec_W2(2, 0, 1)),
+         "derived-tail-size-n-k": _printed("W2", _rec_W2(2, 0, 0))},
+        notes="Instance 1 checks the printed base F_0 = 1.  The printed "
+              "subscript F_{2n-2k-4} undercounts the interior-gap tail by "
+              "one element."),
+    "T6.3": IdentityDef(
+        "gap-insertion recursion for S_n(132,3412)", ("n",), 1, 10,
+        {_ASIS: _printed("W3"),
+         "first-term-W3": _printed("W3", _rec_W3("W3", 1, -1)),
+         "derived-gap-indexed-sum": _printed("W3", _rec_W3("W3", 2, 0))},
+        notes="Instance 1 checks the printed base F_0 = 1.  The printed "
+              "first term references the W2 family; the derived reading "
+              "indexes the sum by the gap position k = 2..n-1 with left "
+              "part of size k-1."),
+}
 
-_CATALOG: tuple[IdentityDef, ...] = _build_catalog()
-_CATALOG_BY_ID = {d.ident: d for d in _CATALOG}
-
-IDENTITY_IDS = tuple(d.ident for d in _CATALOG)
+IDENTITY_IDS = tuple(_CATALOG)
 
 
 def identity_catalog() -> list[dict]:
     """Metadata for the 19 cataloged identities."""
     return [
         {
-            "id": d.ident,
+            "id": ident,
             "description": d.description,
             "arity": list(d.arity),
             "start": d.start,
             "default_max": d.default_max,
-            "readings": [r.name for r in d.readings],
+            "readings": list(d.readings),
         }
-        for d in _CATALOG
+        for ident, d in _CATALOG.items()
     ]
 
 
 def _instances(defn: IdentityDef, max_n: int | None,
                max_m: int | None) -> list[tuple[int, ...]]:
+    cap = defn.default_max if max_n is None else max_n
     if defn.arity == ("m", "n"):
-        cap = defn.default_max if max_n is None else max_n
-        out = []
-        for total in range(2, cap + 1):
-            for m in range(1, total):
-                n = total - m
-                if max_m is not None and m > max_m:
-                    continue
-                out.append((m, n))
-        return out
-    hi = defn.default_max if max_n is None else max_n
-    return [(n,) for n in range(defn.start, hi + 1)]
+        return [(m, total - m) for total in range(2, cap + 1)
+                for m in range(1, total) if max_m is None or m <= max_m]
+    return [(n,) for n in range(defn.start, cap + 1)]
 
 
 def _adjudicate(defn: IdentityDef, indices: tuple[int, ...]):
     """The first reading under which the instance holds, or None and the
     sides that every reading built when all of them fail."""
     sides = {}
-    for reading in defn.readings:
-        lhs, rhs = sides[reading.name] = reading.build(*indices)
+    for name, build in defn.readings.items():
+        lhs, rhs = sides[name] = build(*indices)
         if lhs == rhs:
-            return reading.name, None
+            return name, None
     return None, sides
 
 
@@ -905,10 +869,10 @@ def _checked_instances(ident: str, max_n: int | None, max_m: int | None,
                        ) -> tuple[IdentityDef, list[tuple[int, ...]]]:
     """An identity's definition and its instances in the range; an unknown
     id or a range that holds no instance raises ValueError."""
-    if ident not in _CATALOG_BY_ID:
+    if ident not in _CATALOG:
         raise ValueError(f"unknown identity {ident!r}; valid ids: "
                          f"{', '.join(IDENTITY_IDS)}")
-    defn = _CATALOG_BY_ID[ident]
+    defn = _CATALOG[ident]
     instances = _instances(defn, max_n, max_m)
     if not instances:
         # a report with nothing checked would read as a success
@@ -937,29 +901,27 @@ def verify_identity(ident: str, max_n: int | None = None,
         used_by[indices], sides = _adjudicate(defn, indices)
         if sides:
             failure = indices, sides
-    range_checked = {"arity": list(defn.arity), "start": defn.start,
-                     "max": defn.default_max if max_n is None else max_n}
-    if max_m is not None and "m" in defn.arity:
-        range_checked["max_m"] = max_m
-    report = IdentityReport(
-        ident=ident,
-        range_checked=range_checked,
-        instances=[{"indices": dict(zip(defn.arity, indices)),
-                    "verdict": "holds" if used_by[indices] else "fails",
-                    "reading": used_by[indices]} for indices in instances],
-        notes=defn.notes,
-    )
+    counterexample = None
     if failure:
         indices, sides = failure
-        lhs, rhs = sides[defn.readings[0].name]
-        report.counterexample = {
+        lhs, rhs = sides[next(iter(defn.readings))]
+        counterexample = {
             "indices": dict(zip(defn.arity, indices)),
             "lhs": lhs.canonical_text(),
             "rhs": rhs.canonical_text(),
             "rhs_by_reading": {name: r.canonical_text()
                                for name, (_, r) in sides.items()},
         }
-    return report
+    range_checked = {"arity": list(defn.arity), "start": defn.start,
+                     "max": defn.default_max if max_n is None else max_n}
+    if max_m is not None and "m" in defn.arity:
+        range_checked["max_m"] = max_m
+    return IdentityReport(
+        ident, range_checked,
+        [{"indices": dict(zip(defn.arity, indices)),
+          "verdict": "holds" if used_by[indices] else "fails",
+          "reading": used_by[indices]} for indices in instances],
+        counterexample, defn.notes)
 
 
 def verify_all(max_n: int | None = None,

@@ -4,6 +4,8 @@ from reverse layered matchings."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfibonacci import partitions as pt
 from qfibonacci import permstats as ps
@@ -13,6 +15,18 @@ from qfibonacci.qfib import fibonacci
 
 BETA = pt.partition_from_text("1/236/45")
 CLASS_PATTERNS = (pt.partition_from_text("13/2"), pt.partition_from_text("123"))
+
+
+@st.composite
+def set_partitions(draw):
+    """A partition of [n], n <= 12: each value joins the block of its
+    label."""
+    n = draw(st.integers(0, 12))
+    blocks: dict[int, list[int]] = {}
+    for v, label in enumerate(draw(st.lists(st.integers(0, n), min_size=n,
+                                            max_size=n)), 1):
+        blocks.setdefault(label, []).append(v)
+    return pt.make_partition(blocks.values())
 
 
 class TestConstruction:
@@ -38,6 +52,20 @@ class TestConstruction:
         assert pt.partition_to_text(alpha) == "1,2,3,4,5,6,7,8,9,10"
         assert pt.partition_from_text("1,2/3,10/4,5,6,7,8,9") == \
             ((1, 2), (3, 10), (4, 5, 6, 7, 8, 9))
+
+    def test_comma_free_chunks_from_ten(self):
+        # past 9 digits a chunk without commas is one value, not its digits
+        assert pt.partition_from_text("1/2/3/4/5/6/7/8/9/10") == tuple(
+            (v,) for v in range(1, 11))
+        assert pt.partition_from_text("1,2,3,4,5,6,7,8,9/10") == (
+            tuple(range(1, 10)), (10,))
+
+    @given(set_partitions())
+    @example(tuple((v,) for v in range(1, 11)))
+    @example((tuple(range(1, 10)), (10,)))
+    @settings(max_examples=300, deadline=None)
+    def test_text_round_trip(self, alpha):
+        assert pt.partition_from_text(pt.partition_to_text(alpha)) == alpha
 
 
 class TestContainment:

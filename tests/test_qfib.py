@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 
 from qfibonacci import blockwords, partitions, permstats, qfib
 from qfibonacci.permstats import BoundExceeded
-from qfibonacci.polyring import MultiPoly, Q, X, q_pow
+from qfibonacci.polyring import MultiPoly, q_pow
 
 
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
 WEST_FAMILIES = ("W1", "W2", "W3")
 # the two sizes from which each word walk is split
 SPLIT_SIZES = [(f, n) for f in WORD_FAMILIES for n in (22, 23)]
+
+
+X, Q = MultiPoly.term(1, x=1), q_pow(1)
 
 
 def P(text):
@@ -115,7 +118,7 @@ class TestOracle:
 
     def test_z_collapse_recovers_cycle_count(self):
         for n in range(9):
-            dz = qfib.qfib_oracle("D'", n).substitute({"z": MultiPoly.var("q")})
+            dz = qfib.qfib_oracle("D'", n).substitute({"z": Q})
             assert dz == qfib.qfib_oracle("D", n)
 
 
@@ -645,6 +648,53 @@ class TestClosedForm:
                 qfib.closed_form_I(n)
 
 
+class TestHeldAtBound:
+    def test_every_oracle_to_its_bound(self, monkeypatch):
+        # Each family's bound is read from FAMILY, so the test grows with
+        # it, and each oracle is held at every size up to it to a path that
+        # shares nothing with its walk.  D and D' have no sound printed
+        # recursion (T5.3 and T5.4 fail under every reading) and share
+        # _fold: at the bound they are held only to the counts and to each
+        # other.
+        monkeypatch.setattr(qfib, "_oracle_cache", {})
+        at = {}
+        for family, fam in qfib.FAMILY.items():
+            qfib.qfib_oracle(family, fam.bound)    # one walk fills every size
+            at[family] = [qfib.qfib_oracle(family, n)
+                          for n in range(fam.bound + 1)]
+
+        def sizes(*families):
+            return range(min(qfib.FAMILY[f].bound for f in families) + 1)
+
+        for n in sizes("I"):
+            assert at["I"][n] == qfib.closed_form_I(n), n
+        # I' and M' come from the recursions for I and M through Lemma 2.3
+        for family in ("I", "M", "C", "I'", "M'"):
+            for n in sizes(family):
+                assert at[family][n] == qfib.qfib_recursive(family, n), (
+                    family, n)
+        for a, b in (("M'", "C"), ("M", "RB")):    # T3.3 and T3.1
+            for n in sizes(a, b):
+                assert at[a][n] == at[b][n], (a, b, n)
+        for n in sizes("D", "D'"):
+            assert at["D'"][n].substitute({"z": Q}) == at["D"][n], n
+        for family in WORD_FAMILIES:
+            for n in sizes(family):
+                assert at[family][n].evaluate() == qfib.fibonacci(n), (
+                    family, n)
+        for family in WEST_FAMILIES:
+            for n in range(1, qfib.FAMILY[family].bound + 1):
+                assert (at[family][n].evaluate(q=1)
+                        == qfib.fibonacci(2 * n - 2)), (family, n)
+        for ident, reading, family in (
+                ("T6.2", "derived-tail-size-n-k", "W2"),
+                ("T6.3", "derived-gap-indexed-sum", "W3")):
+            build = qfib._CATALOG[ident].readings[reading]
+            for n in sizes(family):
+                lhs, rhs = build(n)
+                assert lhs is at[family][n] and lhs == rhs, (ident, n)
+
+
 class TestCatalog:
     def test_size_and_ids(self):
         cat = qfib.identity_catalog()
@@ -740,9 +790,8 @@ class TestVerifier:
         def build(n):
             built.append(n)
             return MultiPoly.one(), MultiPoly.one() if n % 2 == 0 else X
-        defn = qfib.IdentityDef("T", "toy", ("n",), 2, 7,
-                                (qfib.Reading("as-printed", build),))
-        monkeypatch.setitem(qfib._CATALOG_BY_ID, "T", defn)
+        defn = qfib.IdentityDef("toy", ("n",), 2, 7, {"as-printed": build})
+        monkeypatch.setitem(qfib._CATALOG, "T", defn)
         report = qfib.verify_identity("T")
         assert built == [7, 6, 5, 4, 3, 2]
         assert [i["indices"]["n"] for i in report.instances] == list(
@@ -780,8 +829,8 @@ class TestValueTypes:
     @pytest.mark.parametrize("value", [
         permstats.cycle_decomposition((2, 1)),
         blockwords.classify_prefix("DSSD"),
-        qfib.Reading("as-printed", qfib._l23),
-        qfib.IdentityDef("T", "toy", ("n",), 0, 1, ()),
+        qfib.IdentityDef("toy", ("n",), 0, 1, {}),
+        qfib.IdentityReport("T", {}, []),
     ])
     def test_immutable(self, value):
         with pytest.raises(AttributeError):
@@ -790,10 +839,15 @@ class TestValueTypes:
             value.extra = 1
 
     def test_reports_own_their_instances(self):
-        a = qfib.IdentityReport("A", {})
-        b = qfib.IdentityReport("B", {})
+        a = qfib.verify_identity("T2.1", max_n=2)
+        b = qfib.verify_identity("T2.1", max_n=2)
+        # reports compare by value; they hold dicts, so they do not hash
+        assert a == b and a is not b
+        with pytest.raises(TypeError):
+            hash(a)
         a.instances.append({"verdict": "fails"})
-        assert (a.holds, b.holds, b.instances) == (False, True, [])
+        assert (a.holds, b.holds, len(b.instances)) == (False, True, 3)
+        assert qfib.IdentityReport("A", {}, []).holds
         with pytest.raises(AttributeError):
             a.extra = 1
 
