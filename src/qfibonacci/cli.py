@@ -14,6 +14,10 @@ error (verify: also an index range with no instance), 3 bound, memory or
 exponent range exceeded.  Data goes to stdout, diagnostics to stderr; a
 reader that closes stdout early drops the rest of the data and leaves the
 exit code as it was.  There is no configuration beyond the flags.
+
+`main` may be called repeatedly in one process.  It builds its parser on
+the first call, never at import, and reuses it on every later call;
+`build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", parents=[], help="list class members")
     p_enum.add_argument("--class", dest="cls", required=True,
-                        help="comma-separated patterns (e.g. 123,132,213) or "
-                             "a West class name W1/W2/W3")
+                        help="comma-separated patterns (e.g. 123,132,213), "
+                             "';'-separated when one holds commas (e.g. "
+                             "'1,3,2;123'), or a West class name W1/W2/W3")
     p_enum.add_argument("--n", type=_size, required=True)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -71,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="perms")
     p_dist.add_argument("--patterns", required=True,
                         help="comma-separated patterns; permutations as digit "
-                             "strings, partitions in slash notation separated "
-                             "by commas (e.g. '13/2,123')")
+                             "strings, partitions in slash notation (e.g. "
+                             "'13/2,123'); ';'-separated when one holds "
+                             "commas (e.g. '1,3/2;123')")
     p_dist.add_argument("--stat", default="inv",
                         help="inv, maj, des, cycles (perms) or rb (partitions)")
     p_dist.add_argument("--n", type=_size, required=True)
@@ -110,14 +116,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_perm_patterns(text: str) -> list[tuple[int, ...]]:
-    pats = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        pats.append(permstats.perm_from_text(tok))
-    return pats
+def _parse_patterns(text: str, read) -> list:
+    """The patterns of --class or --patterns, each read by `read`: the
+    pieces between ';' when the value holds one, else between commas.  A
+    comma list that does not read piece by piece may be one pattern written
+    with commas, such as 1,3,2 or 1,3/2."""
+    sep = ";" if ";" in text else ","
+    try:
+        return [read(tok) for tok in text.split(sep) if tok.strip()]
+    except ValueError as exc:
+        if sep == ";" or "," not in text:
+            raise
+        try:
+            return [read(text)]
+        except ValueError:
+            raise ValueError(f"{exc} (separate patterns written with commas "
+                             "by ';', e.g. '1,3,2;123')") from None
 
 
 def _poly_payload(p: MultiPoly, fmt: str, **meta) -> str:
@@ -151,7 +165,7 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
         members = permstats.west_class(args.n, cls)
     else:
         try:
-            pats = _parse_perm_patterns(cls)
+            pats = _parse_patterns(cls, permstats.perm_from_text)
         except ValueError as exc:
             raise ValueError(f"{exc}; --class also takes a West class "
                              "name, W1, W2 or W3") from None
@@ -167,8 +181,7 @@ def _cmd_distribution(args) -> tuple[int, Iterable[str]]:
     if args.kind == "partitions":
         if args.stat != "rb":
             raise ValueError("partition distributions support --stat rb")
-        pats = [partitions.partition_from_text(t) for t in
-                args.patterns.split(",") if t.strip()]
+        pats = _parse_patterns(args.patterns, partitions.partition_from_text)
         members = partitions.enumerate_partitions_avoiding(n, pats)
         stat = partitions.rb
     else:
@@ -177,7 +190,8 @@ def _cmd_distribution(args) -> tuple[int, Iterable[str]]:
                              f"{', '.join(sorted(_STATS))} (or rb with "
                              "--kind partitions)")
         stat = _STATS[args.stat]
-        members = permstats.enumerate_avoiders(n, _parse_perm_patterns(args.patterns))
+        members = permstats.enumerate_avoiders(
+            n, _parse_patterns(args.patterns, permstats.perm_from_text))
     tally = Counter(stat(m) for m in members)
     poly = MultiPoly({(0, 0, e, ()): c for e, c in tally.items()})
     return 0, [_poly_payload(poly, args.format, kind=args.kind,
@@ -234,10 +248,15 @@ _COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfibonacci import permstats, qfib
+from qfibonacci import cli, permstats, qfib
 from qfibonacci.cli import main
 from qfibonacci.polyring import q_pow
 
@@ -168,6 +168,14 @@ class TestEnumerateVerb:
         assert (code, out) == (3, "")
         assert "bound" in err
 
+    @pytest.mark.parametrize("written, plain", [
+        ("1,3,2", "132"), ("1,3,2;123", "132,123"), ("1, 3, 2;", "132")])
+    def test_patterns_written_with_commas(self, capsys, written, plain):
+        expected = run(capsys, "enumerate", "--class", plain, "--n", "5")
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, "enumerate", "--class", written,
+                   "--n", "5") == expected
+
 
 class TestDistributionVerb:
     def test_inv_distribution(self, capsys):
@@ -187,6 +195,30 @@ class TestDistributionVerb:
         code, _, err = run(capsys, "distribution", "--patterns", "123",
                            "--stat", "bogus", "--n", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("kind, written, plain", [
+        ("partitions", "1,3/2;123", "13/2,123"),
+        ("partitions", "1,3/2", "13/2"),
+        ("perms", "1,3,2", "132"),
+        ("perms", "1,3,2;2,1,3", "132,213")])
+    def test_patterns_written_with_commas(self, capsys, kind, written, plain):
+        # partition_to_text and perm_from_text use commas inside a pattern
+        def dist(patterns):
+            return run(capsys, "distribution", "--kind", kind, "--patterns",
+                       patterns, "--stat", "rb" if kind == "partitions"
+                       else "inv", "--n", "6")
+        expected = dist(plain)
+        assert expected[0] == 0 and expected[1]
+        assert dist(written) == expected
+
+    def test_comma_patterns_in_a_comma_list(self, capsys):
+        # two patterns written with commas and separated by one: the
+        # message says how to separate them
+        code, out, err = run(capsys, "distribution", "--kind", "partitions",
+                             "--patterns", "1,3/2,1,2,3", "--stat", "rb",
+                             "--n", "4")
+        assert (code, out) == (2, "")
+        assert "';'" in err and err.count("\n") == 1
 
 
 def count_walks(monkeypatch, family):
@@ -471,6 +503,53 @@ class TestStartUp:
             "holds"] * 4
 
 
+class TestSharedParser:
+    """main builds one parser per process, on its first call."""
+
+    def test_not_built_at_import(self):
+        probe = ("import sys\n"
+                 "sys.path.insert(0, sys.argv[1])\n"
+                 "import qfibonacci.cli\n"
+                 "print(qfibonacci.cli._parser)\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe,
+                               str(ROOT / "src")],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "None\n", "")
+
+    def test_one_parser_for_many_calls(self, capsys, monkeypatch):
+        built = []
+        fresh = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or fresh())
+        codes = [run(capsys, *argv)[0] for argv in (
+            ("qfib", "--family", "I", "--n", "4"),
+            ("qfib", "--family", "I", "--n", "many"),
+            ("table", "--family", "W1", "--max-n", "3"),
+            ("distribution", "--patterns", "123", "--n", "4"),
+            ("verify", "--identity", "T2.1", "--max-n", "3"))]
+        assert codes == [0, 2, 0, 0, 0]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("bad", [
+        ("verify", "--identity", "T2.1", "--all"),
+        ("verify", "--identity", "T2.1", "--max-n", "x"),
+        ("table", "--family", "I", "--max-n", "2", "--format", "html"),
+        ("qfib", "--family", "I", "--n"),
+        ("frobnicate",)])
+    @pytest.mark.parametrize("good", [
+        ("verify", "--identity", "T2.1", "--max-n", "3"),
+        ("qfib", "--family", "I", "--n", "4"),
+        ("table", "--family", "I", "--max-n", "3", "--format", "csv")])
+    def test_usage_error_leaves_no_trace(self, capsys, monkeypatch, bad,
+                                         good):
+        monkeypatch.setattr(cli, "_parser", None)
+        alone = run(capsys, *good)
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run(capsys, *bad)[:2] == (2, "")
+        assert run(capsys, *good) == alone
+
+
 # Option values for the exit-code property, good then malformed.  30 is past
 # every enumeration bound (9, 12, 26) but cheap for a recursion; 10 walks
 # every West oracle in one process, and no word walk splits below 22.  verify
@@ -480,11 +559,13 @@ _SIZES = (("0", "1", "3", "5", "10", "30"), ("-1", "x", ""))
 _FAMILIES = (qfib.FAMILIES, ("Z",))
 _METHODS = (("oracle", "recursion", "closed-form"), ("guess",))
 _OPTIONS = {
-    "enumerate": (("--class", ("123,132,213", "W1", "W3", "12"),
+    "enumerate": (("--class", ("123,132,213", "W1", "W3", "12",
+                               "1,3,2;123"),
                    ("W9", "1x", "")),
                   ("--n", *_SIZES), ("--format", ("text", "json"), ("xml",))),
     "distribution": (("--kind", ("perms", "partitions"), ("sets",)),
-                     ("--patterns", ("123,132,213", "13/2,123", "12"), ("?",)),
+                     ("--patterns", ("123,132,213", "13/2,123", "12",
+                                     "1,3/2;123"), ("?",)),
                      ("--stat", ("inv", "maj", "des", "cycles", "rb"),
                       ("sd",)),
                      ("--n", *_SIZES), ("--format", ("text", "json"), ())),
