@@ -19,37 +19,43 @@ through it, and ``terms()`` hands exchange keys back, with the z pairs
 sorted by index and free of zero exponents.
 
 Inside this module a monomial is one Python int made of 32-bit fields,
-field 0 the lowest: field 0 holds e + 2^30 (the bias makes the Laurent
-exponent nonnegative), fields 1 and 2 hold a and b, and field 2 + i holds
-the exponent of z_i.  Every stored field is below 2^31, so x, y and z
-exponents lie in [0, 2^31) and q exponents in [-2^30, 2^30).  Bit 31 of
+field 0 the lowest: field 0 holds b, field 1 holds a, field 2 holds
+e + 2^30 (the bias makes the Laurent exponent nonnegative), and field 2 + i
+holds the exponent of z_i.  Every stored field is below 2^31, so x, y and
+z exponents lie in [0, 2^31) and q exponents in [-2^30, 2^30).  Bit 31 of
 each field is a guard bit and is clear in every key.  Zero fields above
 the last nonzero one cost nothing, so there is nothing to strip: the
-monomial 1 is the key 2^30, and equal polynomials have equal term dicts.
+monomial 1 is the key 2^30 << 64, and equal polynomials have equal term
+dicts.  When several fields of a monomial leave their range, the error
+names the highest z index first, then y, then x, then q.
 
-A monomial product is one int addition, ka + kb - 2^30.  Two fields below
-2^31 sum below 2^32 without a carry, so a product exponent that leaves its
-range sets the guard bit of its field (a q sum below -2^30 borrows, which
-sets bit 31 of field 0).  The range is checked where keys are packed (the
-constructor, which raises ``OverflowError`` naming the field limit), in
-``sum_of_products``, through which ``*`` and ``**`` multiply, by testing
-the guard bits of the OR of every product key, and in ``substitute``.
-``substitute`` works on the keys themselves: it reads the fields of the
-mapped variables, range-checks each field their images change, and adds
-each change to the key in place, (new - old) << 32*i for field i.
+A monomial product is one int addition, ka + kb - (2^30 << 64).  Two
+fields below 2^31 sum below 2^32 without a carry, so a product exponent
+that leaves its range sets the guard bit of its field.  A q sum below
+-2^30 borrows from the field above q: it sets bit 31 of field 2 when the
+key has z, and makes a z-free key negative.  The range is checked where
+keys are packed (the constructor, which raises ``OverflowError`` naming
+the field limit), in ``sum_of_products``, through which ``*`` and ``**``
+multiply, by testing the sign and the guard bits of the OR of every
+product key, and in ``substitute``.  ``substitute`` works on the keys
+themselves: it reads the fields of the mapped variables, range-checks
+each field their images change, and adds each change to the key in place,
+(new - old) << 32*i for field i.
 
 The canonical term order is q, x, y exponents descending, then the z
 exponents as a vector z1, z2, ... compared descending.  The low 96 bits of
-a key, its head, hold q, x and y; z-free keys sort on the head's fields
-repacked as the int q << 64 | x << 32 | y.  When some key has z, the keys
-are split once into head and z part (key >> 96): the distinct heads and
-the distinct z parts are each ranked once, the z parts by their decoded
-exponent vectors, and the terms sort on the two ranks.  ``terms()`` and
-``canonical_text`` share that order, and rendering builds the text of each
-head and each z part once.  Ring operations build term dicts themselves
-and wrap them unvalidated.  A polynomial maps keys to nonzero
-coefficients; the zero polynomial is the empty mapping.  All values are
-immutable: every operation returns a new polynomial.
+a key, its head, hold (q + 2^30) << 64 | x << 32 | y, so heads compare as
+plain ints in canonical order and a z-free polynomial sorts its keys as
+they are.  When some key has z, only the distinct z parts (key >> 96) are
+ranked, by their decoded exponent vectors, and the terms sort on the head
+above the z part's rank.  ``terms()`` and ``canonical_text`` share that
+order.  The factor strings of rendering (``*x^a``, ``*q^e``, ``*z2^f``
+and their LaTeX forms) are built once per process, in caches of at most
+``_TEXTS_CAP`` strings each; a call builds the text of each z part once.
+Ring operations build term dicts themselves and wrap them unvalidated.  A
+polynomial maps keys to nonzero coefficients; the zero polynomial is the
+empty mapping.  All values are immutable: every operation returns a new
+polynomial.
 """
 
 from __future__ import annotations
@@ -58,8 +64,8 @@ import re
 import struct
 import sys
 from functools import reduce
-from itertools import compress, count
-from operator import or_
+from itertools import compress, count, repeat
+from operator import and_, lshift, or_, rshift
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -71,35 +77,40 @@ Monomial = tuple[int, int, int, tuple[tuple[int, int], ...]]
 _VAR_KEY_RE = re.compile(r"^(x|y|q|z|z[1-9][0-9]*)$")
 _FACTOR_RE = re.compile(r"^(x|y|q|z[1-9][0-9]*)(?:\^(-?[0-9]+))?$")
 
-_BIAS = 1 << 30   # added to the q exponent in field 0; the key of 1
+_BIAS = 1 << 30   # added to the q exponent in field 2
+_ONE = _BIAS << 64  # the key of the monomial 1
 _LIMIT = 1 << 31  # every stored field is below this
 _MASK = (1 << 32) - 1  # one field
-_HEAD = (1 << 96) - 1  # fields 0-2, the q, x and y of a key
+_HEAD = (1 << 96) - 1  # fields 0-2, the y, x and q of a key
 _RANGE = "x, y and z exponents must lie in [0, 2^31) and q in [-2^30, 2^30)"
 
 
 def _name(j: int) -> str:
     """The variable of field j."""
-    return "qxy"[j] if j < 3 else f"z{j - 2}"
+    return "yxq"[j] if j < 3 else f"z{j - 2}"
 
 
 def _pack(exps: list[int]) -> int:
-    """The key of the dense exponents [e, a, b, f1, ..., fk], range-checked."""
+    """The key of the dense exponents [b, a, e, f1, ..., fk] (field order,
+    at least three), range-checked: z fields from the highest index down,
+    then y, x and q."""
+    fields = [*exps]
+    fields[2] += _BIAS
+    for j in (*range(len(fields) - 1, 2, -1), 0, 1, 2):
+        if not 0 <= fields[j] < _LIMIT:
+            _refuse(j, fields[j])
     key = 0
-    for j in range(len(exps) - 1, -1, -1):
-        f = exps[j] + _BIAS if j == 0 else exps[j]
-        if not 0 <= f < _LIMIT:
-            _refuse(j, f)
+    for f in reversed(fields):
         key = key << 32 | f
     return key
 
 
 def _refuse(j: int, f: int) -> None:
     """Raise the error for the value f, outside [0, 2^31), of field j."""
-    if f < 0 and j:
+    if f < 0 and j != 2:
         raise ValueError(f"{_name(j)} exponent {f} is negative; "
                          "only q is Laurent")
-    raise OverflowError(f"{_name(j)} exponent {f - _BIAS if j == 0 else f} "
+    raise OverflowError(f"{_name(j)} exponent {f - _BIAS if j == 2 else f} "
                         f"is outside its field: {_RANGE}")
 
 
@@ -110,8 +121,8 @@ def _flat(key: Monomial) -> int:
         raise ValueError(f"exponents must be integers, got {(a, b, e)!r}")
     if z == () and 0 <= a < _LIMIT and 0 <= b < _LIMIT and -_BIAS <= e < _BIAS:
         # z-free and in range: the fields packed at once
-        return b << 64 | a << 32 | e + _BIAS
-    exps = [e, a, b]
+        return e + _BIAS << 64 | a << 32 | b
+    exps = [b, a, e]
     for i, f in z:
         if not isinstance(i, int) or i < 1:
             raise ValueError(f"z index must be a positive integer, got {i!r}")
@@ -125,34 +136,29 @@ def _flat(key: Monomial) -> int:
 
 
 def _refuse_delta(key: int, delta: dict[int, int]) -> None:
-    """Raise the error for the highest field of key that delta, changes
-    by field shift, takes outside [0, 2^31)."""
-    for shift in sorted(delta, reverse=True):
+    """Raise the error for the first field of key, in _pack's order, that
+    delta, changes by field shift, takes outside [0, 2^31)."""
+    for shift in sorted(delta, key=lambda s: s if s >= 96 else -s,
+                        reverse=True):
         f = (key >> shift & _MASK) + delta[shift]
         if not 0 <= f < _LIMIT:
             _refuse(shift >> 5, f)
 
 
 def _fields(key: int) -> tuple[int, ...]:
-    """The fields of a key, from field 0 to its last nonzero one: (e + 2^30,
-    a, b, f1, ..., fk) for a monomial's key, () for 0.  "I" is the native
+    """The fields of a key, from field 0 to its last nonzero one: (b, a,
+    e + 2^30, f1, ..., fk) for a monomial's key, () for 0.  "I" is the native
     32-bit unsigned int, hence the native byte order."""
     n = (key.bit_length() + 31) >> 5
     return struct.unpack(f"{n}I", key.to_bytes(4 * n, sys.byteorder))
 
 
-def _head_rank(head: int) -> int:
-    """The fields q + 2^30, x, y of a head (a key below 2^96) repacked
-    as q << 64 | x << 32 | y, whose int order is their canonical order."""
-    return (head & _MASK) << 64 | (head >> 32 & _MASK) << 32 | head >> 64
-
-
 def _exps(key: int) -> list[int]:
-    """The dense exponents [e, a, b, f1, ..., fk] of a key, at least
+    """The dense exponents [b, a, e, f1, ..., fk] of a key, at least
     three."""
     exps = list(_fields(key))
     exps += [0] * (3 - len(exps))
-    exps[0] -= _BIAS
+    exps[2] -= _BIAS
     return exps
 
 
@@ -196,38 +202,41 @@ class MultiPoly:
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order (the order used by canonical_text),
         with exchange keys."""
-        order, zvecs = self._canonical()
-        zs = {z: tuple((i, f) for i, f in enumerate(v, 1) if f)
-              for z, v in zvecs.items()}
-        return (((h >> 32 & _MASK, h >> 64, (h & _MASK) - _BIAS, zs[z]), c)
-                for h, z, c in order)
+        ranks, coeffs, bits, zvecs = self._canonical()
+        zs = [tuple((i, f) for i, f in enumerate(v, 1) if f) for v in zvecs]
+        low = (1 << bits) - 1
+        return (((r >> bits + 32 & _MASK, r >> bits & _MASK,
+                  (r >> bits + 64) - _BIAS, zs[r & low]), coeffs[r])
+                for r in ranks)
 
-    def _canonical(self) -> tuple[list[tuple[int, int, int]],
-                                  dict[int, tuple[int, ...]]]:
-        """The terms as (head, z part, coefficient) triples in canonical
-        order, and the z vector (f1, ..., fk) of each z part.  The head
-        key & _HEAD holds q, x and y, the z part key >> 96 the z fields.
-        Canonical order is q, x, y exponents descending, then the z vector
-        compared descending; _head_rank gives the first three.  Only when
-        some key has z are the keys split.  The distinct heads are then
-        ranked by _head_rank, and the distinct z parts by their decoded
-        vectors in tuple order, which is vector order: a decoded z part
-        has no trailing zero, so a proper prefix is a vector whose missing
-        exponents are 0 and sorts below the longer one.  Terms sort on the
-        two ranks, the z part's below the head's."""
+    def _canonical(self) -> tuple[list[int], dict[int, int], int,
+                                  list[tuple[int, ...]]]:
+        """The terms in canonical order as (ranks, coefficient by rank,
+        bits, z vectors): the rank of a term is its head (key & _HEAD, which
+        holds q, x and y as an int in canonical order) shifted up by bits,
+        above the rank of its z part (key >> 96), and ranks descend.  The
+        z part of rank r has the vector zvecs[r] = (f1, ..., fk).
+
+        A z-free polynomial needs no rank: its keys are its heads, so it
+        sorts its term dict as it is, with bits 0 and the one z vector ().
+        Otherwise the distinct z parts are ranked by their decoded vectors
+        in tuple order, which is vector order: a decoded z part has no
+        trailing zero, so a proper prefix is a vector whose missing
+        exponents are 0 and sorts below the longer one."""
         terms = self._terms
         if max(terms, default=0) <= _HEAD:
-            return ([(k, 0, terms[k])
-                     for k in sorted(terms, key=_head_rank, reverse=True)],
-                    {0: ()})
-        order = [(k & _HEAD, k >> 96, c) for k, c in terms.items()]
-        zvecs = {z: _fields(z) for z in {z for _, z, _ in order}}
-        zrank = {z: r for r, z in enumerate(sorted(zvecs, key=zvecs.get))}
-        bits = len(zrank).bit_length()
-        hrank = {h: r << bits for r, h in enumerate(
-            sorted({h for h, _, _ in order}, key=_head_rank))}
-        order.sort(key=lambda t: hrank[t[0]] | zrank[t[1]], reverse=True)
-        return order, zvecs
+            return sorted(terms, reverse=True), terms, 0, [()]
+        zparts = list(map(rshift, terms, repeat(96)))
+        zvecs = {z: _fields(z) for z in set(zparts)}
+        order = sorted(zvecs, key=zvecs.get)
+        bits = len(order).bit_length()
+        coeffs = dict(zip(map(or_, map(lshift, map(and_, terms, repeat(_HEAD)),
+                                       repeat(bits)),
+                              map(dict(zip(order, count())).__getitem__,
+                                  zparts)),
+                          terms.values()))
+        return (sorted(coeffs, reverse=True), coeffs, bits,
+                list(map(zvecs.get, order)))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -291,12 +300,12 @@ class MultiPoly:
             if len(ta) > len(tb):
                 ta, tb = tb, ta
             for ka, ca in ta.items():
-                ka -= _BIAS
+                ka -= _ONE
                 for kb, cb in tb.items():
                     k = ka + kb
                     out[k] = out.get(k, 0) + ca * cb
         guards = reduce(or_, out, 0)
-        if guards & _guard_mask(guards.bit_length()):
+        if guards < 0 or guards & _guard_mask(guards.bit_length()):
             raise OverflowError("a product exponent is outside its field: "
                                 + _RANGE)
         return _wrap(out)
@@ -341,7 +350,7 @@ class MultiPoly:
             if len(poly._terms) > 1:
                 raise ValueError(f"substitution target for {name!r} is a sum, "
                                  "not a single monomial")
-            targets[name] = next(iter(poly._terms.items()), (_BIAS, 0))
+            targets[name] = next(iter(poly._terms.items()), (_ONE, 0))
 
         # Each mapped field j that some key holds, as its shift, its bias,
         # its target's coefficient and the change one unit of its exponent
@@ -356,7 +365,7 @@ class MultiPoly:
                 continue
             change = dict(enumerate(_exps(target[0])))
             change[j] = change.get(j, 0) - 1
-            maps.append((32 * j, 0 if j else _BIAS, target[1],
+            maps.append((32 * j, _BIAS if j == 2 else 0, target[1],
                          [(32 * i, d) for i, d in change.items() if d]))
 
         out: dict[int, int] = {}
@@ -395,7 +404,7 @@ class MultiPoly:
         qv = Fraction(q)
         total = Fraction(0)
         for key, coeff in self._terms.items():
-            e, a, b, *zz = _exps(key)
+            b, a, e, *zz = _exps(key)
             if qv == 0 and e < 0:
                 raise ZeroDivisionError(
                     "evaluation at q = 0 with a negative q exponent")
@@ -418,33 +427,38 @@ class MultiPoly:
         """Deterministic rendering: terms sorted by qexp descending, then
         xexp, yexp and z exponents descending; unit exponents and unit
         coefficients elided; negative q exponents written q^-k.  With
-        latex, exponents are braced and products are spaces.  A call builds
-        each factor string, separator first, once per exponent, and the
-        text of each (q, x, y) head and each z vector once.
+        latex, exponents are braced and products are spaces.  Each factor
+        string, separator first, comes from the process's factor caches of
+        the format; a call joins the text of each z part once and, when
+        some key has z, the text of each (q, x, y) head once.
         """
         if not self._terms:
             return "0"
-        sep, power = (" ", "^{{{}}}") if latex else ("*", "^{}")
-
-        def factors(name: str) -> _Texts:
-            return _Texts((sep + name + power).format, {0: "", 1: sep + name})
-
-        xs, ys, qs = factors("x"), factors("y"), factors("q")
-        zname = ("z_{{{}}}" if latex else "z{}").format
-        zf = _Texts(lambda i_f: sep + zname(i_f[0]) + (
-            "" if i_f[1] == 1 else power.format(i_f[1]))).__getitem__
-        order, zvecs = self._canonical()
-        zs = {z: "".join(map(zf, zip(compress(count(1), v), filter(None, v))))
-              for z, v in zvecs.items()}
-        out, last = [], None
-        for h, z, coeff in order:
-            if h != last:  # terms of one head are adjacent
-                last, head = h, (xs[h >> 32 & _MASK] + ys[h >> 64]
-                                 + qs[(h & _MASK) - _BIAS])
-            body = head + zs[z]
-            c = abs(coeff)
-            out.append(" + " if coeff > 0 else " - ")
-            out.append(body[1:] if c == 1 and body else str(c) + body)
+        xs, ys, qs, zf = _LATEX if latex else _PLAIN
+        ranks, coeffs, bits, zvecs = self._canonical()
+        out = []
+        if not bits:  # z-free: each rank is a key
+            for k in ranks:
+                body = xs[k >> 32 & _MASK] + ys[k & _MASK] + qs[k >> 64]
+                coeff = coeffs[k]
+                c = abs(coeff)
+                out.append(" + " if coeff > 0 else " - ")
+                out.append(body[1:] if c == 1 and body else str(c) + body)
+        else:
+            zf = zf.__getitem__
+            zs = ["".join(map(zf, zip(compress(count(1), v), filter(None, v))))
+                  for v in zvecs]
+            low, last = (1 << bits) - 1, None
+            for r in ranks:
+                h = r >> bits
+                if h != last:  # terms of one head are adjacent
+                    last, head = h, (xs[h >> 32 & _MASK] + ys[h & _MASK]
+                                     + qs[h >> 64])
+                body = head + zs[r & low]
+                coeff = coeffs[r]
+                c = abs(coeff)
+                out.append(" + " if coeff > 0 else " - ")
+                out.append(body[1:] if c == 1 and body else str(c) + body)
         out[0] = "" if out[0] == " + " else "-"
         return "".join(out)
 
@@ -537,7 +551,7 @@ def _as_poly(v: object) -> MultiPoly | None:
     if isinstance(v, MultiPoly):
         return v
     if isinstance(v, int):
-        return _wrap({_BIAS: v})
+        return _wrap({_ONE: v})
     return None
 
 
@@ -551,16 +565,42 @@ def _factor(v: object) -> MultiPoly:
     return poly
 
 
+#: The most strings one factor cache holds.  A full cache is emptied before
+#: it takes the next string, so a long-running process stays bounded.  The
+#: q exponents of large tables (I' to 200: C(200, 2)) rarely repeat across
+#: rows, so a larger cap mostly keeps strings that are not read again.
+_TEXTS_CAP = 1 << 12
+
+
 class _Texts(dict):
     """Strings by key, each built by render on its first lookup."""
 
-    def __init__(self, render, seed=()):
-        super().__init__(seed)
+    def __init__(self, render):
         self.render = render
 
     def __missing__(self, key):
+        if len(self) >= _TEXTS_CAP:
+            self.clear()
         text = self[key] = self.render(key)
         return text
+
+
+def _factor_texts(latex: bool) -> tuple[_Texts, _Texts, _Texts, _Texts]:
+    """The factor caches of one format: x^a by a, y^b by b, q^e by its
+    field e + 2^30, and z_i^f by (i, f) with f nonzero."""
+    sep, power = (" ", "^{{{}}}") if latex else ("*", "^{}")
+    zname = ("z_{{{}}}" if latex else "z{}").format
+
+    def factors(name: str, bias: int = 0) -> _Texts:
+        return _Texts(lambda f: "" if f == bias else sep + name if f == bias + 1
+                      else sep + name + power.format(f - bias))
+
+    return (factors("x"), factors("y"), factors("q", _BIAS),
+            _Texts(lambda i_f: sep + zname(i_f[0]) + (
+                "" if i_f[1] == 1 else power.format(i_f[1]))))
+
+
+_PLAIN, _LATEX = _factor_texts(False), _factor_texts(True)
 
 
 def q_pow(e: int) -> MultiPoly:

@@ -1,5 +1,6 @@
 """Command line behaviors: output formats, exit codes, validation."""
 
+import csv
 import hashlib
 import importlib.util
 import io
@@ -446,6 +447,62 @@ class TestTableVerb:
             digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
             want = expected["recursion"][workloads.key(argv)]
             assert (code, digest) == (want["exit"], want["sha256"]), argv
+
+
+#: A fresh process's renderings of a family's recursion rows 0..max_n, as
+#: [text, latex] per row, each rendered with every factor cache emptied
+#: first, so that no row reads a string that another row built.
+_FRESH_ROWS = (
+    "import json, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from qfibonacci import polyring, qfib\n"
+    "rows = []\n"
+    "for n in range(int(sys.argv[3]) + 1):\n"
+    "    p, texts = qfib.qfib_recursive(sys.argv[2], n), []\n"
+    "    for latex in (False, True):\n"
+    "        for cache in polyring._PLAIN + polyring._LATEX:\n"
+    "            cache.clear()\n"
+    "        texts.append(p.canonical_text(latex=latex))\n"
+    "    rows.append(texts)\n"
+    "print(json.dumps(rows))\n")
+
+
+class TestTableRendering:
+    """Table rows come from the process's factor caches, shared by every
+    row and call, and read exactly as each row rendered alone."""
+
+    @pytest.mark.parametrize("family, max_n", [("D'", 30), ("W1", 20)])
+    def test_rows_equal_fresh_renderings(self, capsys, family, max_n):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_ROWS, str(ROOT / "src"), family,
+             str(max_n)], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        texts, latexes = zip(*json.loads(proc.stdout))
+        argv = ("table", "--family", family, "--max-n", str(max_n),
+                "--method", "recursion")
+        assert run(capsys, *argv) == (0, "".join(
+            f"{n}\t{t}\n" for n, t in enumerate(texts)), "")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["n", "polynomial"], *([str(n), t] for n, t in enumerate(texts))]
+        code, out, _ = run(capsys, *argv, "--format", "latex")
+        assert code == 0
+        assert out.splitlines()[2:-1] == [
+            rf"{n} & ${t}$ \\" for n, t in enumerate(latexes)]
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("latex", "5829c63d92c57796667660375635908698dc98bb7a11cb5d2b85a172"
+                  "cdb8570b"),
+        ("csv", "52349a9be7a3b783c39df8f4d2d7b4406be45da398f9cc4f7f7e8302"
+                "772a6aa7")])
+    def test_d_prime_output_unchanged(self, capsys, fmt, digest):
+        # the SHA-256 of the table as printed when each call built its own
+        # factor strings; perfbench/expected.json pins text output only
+        code, out, _ = run(capsys, "table", "--family", "D'", "--max-n", "20",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUsage:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfibonacci import polyring
+from qfibonacci import polyring, qfib
 from qfibonacci.polyring import MultiPoly, q_pow
 
 
@@ -320,6 +320,85 @@ class TestExponentRange:
             T(1, z=((1, 2),)).substitute({"z": T(1, y=half)})
 
 
+_HALF = 2 ** 30
+
+
+def _outside(name, value):
+    return f"{name} exponent {value} is outside its field: {polyring._RANGE}"
+
+
+def _negative(name):
+    return f"{name} exponent -1 is negative; only q is Laurent"
+
+
+class TestErrorPrecedence:
+    """When several fields of one monomial leave their range, the error
+    names the highest z index first, then y, then x, then q, whatever the
+    layout of the packed key."""
+
+    @pytest.mark.parametrize("make, kind, text", [
+        (lambda: T(1, x=-1, q=-_HALF - 1), ValueError, _negative("x")),
+        (lambda: T(1, x=-1, y=-1), ValueError, _negative("y")),
+        (lambda: T(1, y=2 ** 31, q=_HALF), OverflowError,
+         _outside("y", 2 ** 31)),
+        (lambda: T(1, x=2 ** 31, q=-_HALF - 1), OverflowError,
+         _outside("x", 2 ** 31)),
+        (lambda: T(1, x=2 ** 31, y=-1, q=_HALF), ValueError, _negative("y")),
+        (lambda: T(1, y=-1, q=-_HALF - 1, z=((2, 2 ** 31),)), OverflowError,
+         _outside("z2", 2 ** 31)),
+        (lambda: T(1, x=-1, z=((1, 2 ** 31), (3, 2 ** 31))), OverflowError,
+         _outside("z3", 2 ** 31)),
+    ])
+    def test_constructor(self, make, kind, text):
+        with pytest.raises(kind) as err:
+            make()
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("p, mapping, kind, text", [
+        # q -> x leaves x at -1 while y -> q^(2^30 - 1) takes q above
+        (T(1, y=2, q=-1), {"q": X, "y": T(1, q=_HALF - 1)}, ValueError,
+         _negative("x")),
+        (T(1, x=2, q=-1), {"q": X, "x": T(1, q=_HALF - 1)}, ValueError,
+         _negative("x")),
+        (T(1, x=2, q=-1), {"q": Y, "x": T(1, q=_HALF - 1)}, ValueError,
+         _negative("y")),
+        (T(1, x=2, y=2), {"x": T(1, x=_HALF, y=_HALF)}, OverflowError,
+         _outside("y", 2 ** 31 + 2)),
+        (T(1, x=2, z=((2, 2),)),
+         {"x": T(1, x=_HALF, q=-_HALF), "z2": T(1, z=((2, _HALF),))},
+         OverflowError, _outside("z2", 2 ** 31)),
+    ])
+    def test_substitute(self, p, mapping, kind, text):
+        with pytest.raises(kind) as err:
+            p.substitute(mapping)
+        assert str(err.value) == text
+
+
+class TestQBorrow:
+    """A q exponent below -2^30 borrows out of the q field.  Each product
+    below must raise OverflowError, with or without z fields above q and
+    when the term cancels in the sum."""
+
+    def test_z_free(self):
+        with pytest.raises(OverflowError):
+            q_pow(-_HALF) * q_pow(-1)
+        with pytest.raises(OverflowError):
+            (q_pow(-_HALF) + 1) * (q_pow(-1) + X)
+
+    @pytest.mark.parametrize("z", [((1, 1),), ((5, 1),), ((1, 1), (4, 2))])
+    def test_with_z(self, z):
+        with pytest.raises(OverflowError):
+            T(1, q=-_HALF, z=z) * q_pow(-1)
+
+    def test_cancelled(self):
+        low = q_pow(-_HALF)
+        with pytest.raises(OverflowError):
+            MultiPoly.sum_of_products([(low, q_pow(-1)), (-low, q_pow(-1))])
+        with pytest.raises(OverflowError):
+            MultiPoly.sum_of_products(
+                [(X, Y), (low, q_pow(-1)), (q_pow(-1), -low)])
+
+
 class TestConstructor:
     def test_rejects_values_that_are_not_integers(self):
         for make in (lambda: MultiPoly({(0.5, 0, 0, ()): 1}),
@@ -347,15 +426,17 @@ class TestConstructor:
                             False, True]))
     def test_z_free_keys_pack_as_the_checked_path(self, x, y, q):
         # at the field edges the z-free fast path of _flat gives the key, or
-        # the exception type and text, of _pack
+        # the exception type and text, of _pack, whose dense exponents are
+        # in field order
         def outcome(make, arg):
             try:
                 key = make(arg)
             except (ValueError, OverflowError) as err:
                 return type(err), str(err)
             return type(key), key
+        exps = {"x": x, "y": y, "q": q}
         assert outcome(polyring._flat, (x, y, q, ())) == outcome(
-            polyring._pack, [q, x, y])
+            polyring._pack, [exps[polyring._name(j)] for j in range(3)])
 
     def test_normalises_z_order(self):
         p = MultiPoly({(0, 0, 0, ((2, 1), (1, 1))): 1})
@@ -563,7 +644,7 @@ def reference_substitute(p, mapping):
         if len(poly._terms) > 1:
             raise ValueError(f"substitution target for {name!r} is a sum, "
                              "not a single monomial")
-        k, c = next(iter(poly._terms.items()), (polyring._BIAS, 0))
+        k, c = next(iter(poly._terms.items()), (polyring._ONE, 0))
         targets[name] = (polyring._exps(k), c)
 
     terms = [(polyring._exps(k), c) for k, c in p._terms.items()]
@@ -712,6 +793,46 @@ class TestText:
         # with a coefficient and negative q exponents, in both formats
         assert (p.canonical_text(), p.canonical_text(latex=True)) == (
             text, latex)
+
+    def test_text_and_latex_interleaved(self):
+        # the two formats keep separate factor caches: renders that alternate
+        # between them in one process equal renders from emptied caches
+        polys = [qfib.qfib_recursive(f, n) for f in ("D'", "W1", "I'")
+                 for n in (3, 9, 14)]
+        polys += [T(1, q=-3, z=((2, 6),)) - T(2, x=1, y=3, q=4), Q - 1]
+        mixed = []
+        for i, p in enumerate(polys):
+            order = (False, True) if i % 2 else (True, False)
+            mixed.append({latex: p.canonical_text(latex=latex)
+                          for latex in order})
+        for latex in (False, True):
+            for cache in polyring._PLAIN + polyring._LATEX:
+                cache.clear()
+            alone = [p.canonical_text(latex=latex) for p in polys]
+            assert [m[latex] for m in mixed] == alone
+        assert not any("{" in m[False] or "*" in m[True] for m in mixed)
+
+    def test_cache_cap_crossed(self, monkeypatch):
+        # more distinct q exponents than a cache holds: the cache is emptied
+        # on the way and never exceeds its cap, and the text is unchanged
+        cap = polyring._TEXTS_CAP
+        p = MultiPoly({(0, 0, e, ()): 1 for e in range(-50, cap + 50)})
+        want = " + ".join(["q^" + str(e) for e in range(cap + 49, 1, -1)]
+                          + ["q", "1"]
+                          + ["q^" + str(e) for e in range(-1, -51, -1)])
+        for _ in range(2):
+            assert p.canonical_text() == want
+            assert len(polyring._PLAIN[2]) <= cap
+        rows = [qfib.qfib_recursive(f, n) for f in ("D'", "W1") for n in
+                range(21)]
+        full = [(r.canonical_text(), r.canonical_text(latex=True))
+                for r in rows]
+        monkeypatch.setattr(polyring, "_TEXTS_CAP", 5)
+        for cache in polyring._PLAIN + polyring._LATEX:
+            cache.clear()
+        assert [(r.canonical_text(), r.canonical_text(latex=True))
+                for r in rows] == full
+        assert max(map(len, polyring._PLAIN + polyring._LATEX)) <= 5
 
     @given(polys())
     def test_parse_roundtrip(self, p):
