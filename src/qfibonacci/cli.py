@@ -120,10 +120,11 @@ def _parse_patterns(text: str, read) -> list:
     """The patterns of --class or --patterns, each read by `read`: the
     pieces between ';' when the value holds one, else between commas.  A
     comma list that does not read piece by piece may be one pattern written
-    with commas, such as 1,3,2 or 1,3/2."""
+    with commas, such as 1,3,2 or 1,3/2.  A value with no pattern is
+    refused."""
     sep = ";" if ";" in text else ","
     try:
-        return [read(tok) for tok in text.split(sep) if tok.strip()]
+        patterns = [read(tok) for tok in text.split(sep) if tok.strip()]
     except ValueError as exc:
         if sep == ";" or "," not in text:
             raise
@@ -132,6 +133,9 @@ def _parse_patterns(text: str, read) -> list:
         except ValueError:
             raise ValueError(f"{exc} (separate patterns written with commas "
                              "by ';', e.g. '1,3,2;123')") from None
+    if not patterns:
+        raise ValueError(f"no pattern in {text!r}")
+    return patterns
 
 
 def _poly_payload(p: MultiPoly, fmt: str, **meta) -> str:

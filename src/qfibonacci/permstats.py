@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import marshal
 import os
+import struct
 from bisect import bisect_left, insort
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -396,9 +397,11 @@ def _west_gaps(legal: list[int], m: int, deepest: bool
     gaps of each node of a level of size m: its class's rule applied to the
     level's sites and p columns, p the index of a node's maximum.  For each
     gap k legal at some node, the step yields k, the selection mask of those
-    nodes (nonzero where k is legal, for itertools.compress) and their
-    children's sites by gap k, or None when deepest, as those children are
-    not grown.  A child by gap k has its maximum at k.
+    nodes (bytes, one per node, nonzero where k is legal, for
+    itertools.compress) and their children's sites by gap k, or None when
+    deepest, as those children are not grown.  A child by gap k has its
+    maximum at k.  The masks are packed into at most 64 bits a node, so m
+    must be below 64; WEST_BOUND keeps it below 12.
 
     A child's sites are the images of its parent's legal gaps: an illegal
     gap stays illegal in every child, because deleting the child's maximum
@@ -425,13 +428,24 @@ def _west_gaps(legal: list[int], m: int, deepest: bool
       the parent's gap l - 2 being legal would make l - 1 legal here.  So
       l = max(h, p + 1), where h is the first gap of the run of sites
       that ends at gap m."""
+    count = len(legal)
+    # byte j of every node's legal gaps, as one little-endian int with a
+    # byte lane per node: gap k's nodes are the lanes of lanes[k >> 3] with
+    # bit k & 7 set
+    width, code = ((1, "B") if m < 8 else (2, "H") if m < 16 else
+                   (4, "I") if m < 32 else (8, "Q"))
+    packed = struct.pack(f"<{count}{code}", *legal)
+    lanes = [int.from_bytes(packed[j::width], "little")
+             for j in range(width)]
+    ones = int.from_bytes(b"\1" * count, "little")
     for k in range(m + 1):
-        bit = 1 << k
-        mask = [g & bit for g in legal]
-        if any(mask):
+        sel = lanes[k >> 3] & ones << (k & 7)
+        if sel:
+            mask = sel.to_bytes(count, "little")
             # gaps below k keep their index, gaps from k on move up by one
             # (adding g & high doubles them), and gap k itself becomes both
             # sides of the new maximum
+            bit = 1 << k
             high = -bit
             yield k, mask, None if deepest else [
                 g + (g & high) + bit for g in itertools.compress(legal, mask)]
@@ -521,8 +535,8 @@ SERIAL_DEPTH = 15
 #: about half at 26 (min of 21 walks, CPython 3.11, 2-vCPU host).  Its
 #: subtree roots, the nodes that first reach size SPLIT_CUT or more, are
 #: F_10 = 89 in a word tree, below 88 nodes of smaller size.  No West walk
-#: splits: WEST_BOUND is 12, below SPLIT_FROM, and a West walk takes 1.5-3
-#: ms to size 10 and 10-16 ms to 12.
+#: splits: WEST_BOUND is 12, below SPLIT_FROM, and a West walk takes 1-1.6
+#: ms to size 10 and 6-10 ms to 12.
 SPLIT_FROM, SPLIT_CUT = 22, 9
 
 

@@ -262,10 +262,10 @@ def _walked(family: str):
     the steps along its word.  walk(n) maps every size 0..n to its
     polynomial.  A node is (left, 0, key, aux): the packed key d << 16 | q
     and the one value that the family's step reads, or (left, 0, key) when
-    carry is None (C).  step(left, vals, shift, keys, *aux) returns the
-    children's keys, each parent's key plus shift (the letter's d << 16) and
-    what the layer adds to the statistic, and carry(vals, aux) their aux
-    column."""
+    carry is None (C) and at size n, which has no children to read it.
+    step(left, vals, shift, keys, *aux) returns the children's keys, each
+    parent's key plus shift (the letter's d << 16) and what the layer adds
+    to the statistic, and carry(vals, aux) their aux column."""
     def walk(n: int) -> dict[int, MultiPoly]:
         values, step, carry = _WALKED[family]
         layers = [[(size, values(n, left, size)) for size in (1, 2)
@@ -277,8 +277,9 @@ def _walked(family: str):
             # key's q
             tally.update(columns[0])
             for size, vals in layers[left]:
-                yield size, 0, _children(step, carry, left, size, vals,
-                                         columns)
+                yield size, 0, _children(
+                    step, carry if left + size < n else None, left, size,
+                    vals, columns)
 
         # the root's aux, n + 1, lies above every value
         root, empty = (((0, 0, 0, n + 1), lambda: (([], []),)) if carry else

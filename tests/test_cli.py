@@ -177,6 +177,13 @@ class TestEnumerateVerb:
         assert run(capsys, "enumerate", "--class", written,
                    "--n", "5") == expected
 
+    @pytest.mark.parametrize("value", ["", " , ", ";"])
+    def test_no_pattern_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "enumerate", "--class", value,
+                             "--n", "3")
+        assert (code, out) == (2, "")
+        assert "no pattern" in err and "W1, W2 or W3" in err
+
 
 class TestDistributionVerb:
     def test_inv_distribution(self, capsys):
@@ -211,6 +218,16 @@ class TestDistributionVerb:
         expected = dist(plain)
         assert expected[0] == 0 and expected[1]
         assert dist(written) == expected
+
+    @pytest.mark.parametrize("kind, stat", [("perms", "inv"),
+                                            ("partitions", "rb")])
+    @pytest.mark.parametrize("value", ["", ",", " ; "])
+    def test_no_pattern_is_usage_error(self, capsys, kind, stat, value):
+        # not every member of S_n or of the set partitions of [n]
+        code, out, err = run(capsys, "distribution", "--kind", kind,
+                             "--patterns", value, "--stat", stat, "--n", "3")
+        assert (code, out) == (2, "")
+        assert f"no pattern in {value!r}" in err
 
     def test_comma_patterns_in_a_comma_list(self, capsys):
         # two patterns written with commas and separated by one: the
@@ -549,7 +566,7 @@ class TestStartUp:
             "sys.exit(qfibonacci.cli.main(\n"
             "    ['verify', '--identity', 'T2.1', '--max-n', '3']))\n")
         heavy = ("dataclasses", "inspect", "fractions", "decimal", "json",
-                 "csv")
+                 "csv", "array")
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe, str(ROOT / "src"), *heavy],
             capture_output=True, text=True, timeout=60)

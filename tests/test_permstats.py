@@ -5,7 +5,7 @@ recomputation."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfibonacci import permstats as ps
@@ -36,6 +36,26 @@ def scan_avoiders(n, patterns):
     pats = [tuple(p) for p in patterns]
     return [p for p in itertools.permutations(range(1, n + 1))
             if ps.avoids_all(p, pats)]
+
+
+def per_gap_reference(legal, m, deepest):
+    """_west_gaps as one pass over the level per gap: (k, the selected
+    nodes, their children's sites) for each gap k legal at some node."""
+    for k in range(m + 1):
+        bit = 1 << k
+        mask = [g & bit for g in legal]
+        if any(mask):
+            high = -bit
+            selected = list(itertools.compress(legal, mask))
+            yield k, selected, None if deepest else [
+                g + (g & high) + bit for g in selected]
+
+
+#: The sizes of the paths that test_rule_along_one_path draws.
+PATH_SIZES = (12, 30)
+
+#: _west_gaps packs a node's legal gaps into at most 64 bits.
+LANE_LIMIT = 64
 
 
 perms = st.integers(0, 7).flatmap(
@@ -285,6 +305,29 @@ class TestWest:
                 sites = [s for _, _, kid_sites in gaps for s in kid_sites]
                 maxima = [k for k, _, kid_sites in gaps for _ in kid_sites]
 
+    @given(st.one_of(st.sampled_from((0, 7, 8, 15, 16, 31, 32, 63)),
+                     st.integers(0, LANE_LIMIT - 1)).flatmap(
+               lambda m: st.tuples(st.just(m), st.lists(st.one_of(
+                   st.just(0), st.integers(0, (2 << m) - 1)),
+                   max_size=40))),
+           st.booleans())
+    @example((0, []), False)
+    @example((8, [0, 0, 0]), False)
+    @example((63, [0, (1 << 64) - 1, 1 << 63]), False)
+    @example((63, [0, (1 << 64) - 1, 1 << 63]), True)
+    def test_gaps_equal_per_gap_reference(self, level, deepest):
+        # every lane width, empty levels and nodes with no legal gap
+        m, legal = level
+        got = [(k, list(itertools.compress(legal, mask)), kid_sites)
+               for k, mask, kid_sites in ps._west_gaps(legal, m, deepest)]
+        assert got == list(per_gap_reference(legal, m, deepest))
+
+    def test_levels_within_lane_limit(self):
+        # a walk to n steps levels of size m < n; a path of the given size
+        # steps m < size
+        assert ps.WEST_BOUND - 1 < LANE_LIMIT
+        assert PATH_SIZES[1] - 1 < LANE_LIMIT
+
     def test_counts(self):
         for cls in ("W1", "W2", "W3"):
             for n in range(1, ps.WEST_BOUND + 1):
@@ -301,7 +344,8 @@ class TestWest:
                         n, pats), (depth, cls, n)
 
     @settings(max_examples=12, deadline=None)
-    @given(st.sampled_from(sorted(ps.WEST_PATTERNS)), st.integers(12, 30),
+    @given(st.sampled_from(sorted(ps.WEST_PATTERNS)),
+           st.integers(*PATH_SIZES),
            st.data())
     def test_rule_along_one_path(self, cls, size, data):
         # one path down the generating tree, past the sizes the walks reach:
