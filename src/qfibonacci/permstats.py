@@ -297,6 +297,14 @@ def layered_classify(p: Sequence[int]) -> str:
     return "neither"
 
 
+def check_orientation(orientation: str) -> str:
+    """orientation itself; refuses anything but 'reverse-layered' and
+    'layered'."""
+    if orientation not in ("reverse-layered", "layered"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    return orientation
+
+
 def block_structure(p: Sequence[int], orientation: str | None = None) -> str:
     """Block word of a (reverse) layered matching: letter k is S iff layer
     k is a singleton, else D.  A reverse layered matching is the reversal
@@ -305,8 +313,8 @@ def block_structure(p: Sequence[int], orientation: str | None = None) -> str:
     orientation is 'reverse-layered', 'layered', or None to prefer the
     reverse-layered reading when both apply.
     """
-    if orientation not in (None, "reverse-layered", "layered"):
-        raise ValueError(f"unknown orientation {orientation!r}")
+    if orientation is not None:
+        check_orientation(orientation)
     if orientation in (None, "reverse-layered"):
         word = _layered_word(reversal(p))
         if word is not None:
@@ -328,11 +336,9 @@ def layer_values(n: int, left: int, size: int, orientation: str) -> Perm:
     >>> layer_values(7, 2, 2, "reverse-layered"), layer_values(7, 2, 2, "layered")
     ((4, 5), (4, 3))
     """
-    if orientation == "reverse-layered":
-        return tuple(range(n - left - size + 1, n - left + 1))
-    if orientation == "layered":
+    if check_orientation(orientation) == "layered":
         return tuple(range(left + size, left, -1))
-    raise ValueError(f"unknown orientation {orientation!r}")
+    return tuple(range(n - left - size + 1, n - left + 1))
 
 
 def check_word(word: str) -> str:
@@ -374,8 +380,7 @@ def perm_from_word(word: str, orientation: str) -> Perm:
     (2, 1, 3, 5, 4, 6, 7)
     """
     layers = word_layers(word)
-    if orientation not in ("reverse-layered", "layered"):
-        raise ValueError(f"unknown orientation {orientation!r}")
+    check_orientation(orientation)
     n = word_length(word)
     return tuple(v for left, size in layers
                  for v in layer_values(n, left, size, orientation))

@@ -42,13 +42,37 @@ themselves: it reads the fields of the mapped variables, range-checks
 each field their images change, and adds each change to the key in place,
 (new - old) << 32*i for field i.
 
+Two fast paths sit in front of those loops.  Each is chosen by one test
+on the whole polynomial, and anything it does not serve goes to the loop,
+which stays the one reference and raises every error:
+
+- A q row is a polynomial in q alone (no x, y or z) with nonnegative
+  coefficients, such as a row of the West recursions.  When every factor
+  of ``sum_of_products`` is one, the sum is taken by Kronecker
+  substitution: a row is the int whose digit i is its coefficient of
+  q^(lo + i), and the sum is bignum products and shifts, unpacked with one
+  ``struct.unpack``.  A digit is as wide as the sum's value at q = 1
+  needs, in multiples of 64 bits (the W2 and W3 rows pass 64 bits at 48).
+  A sum whose q leaves its field, or that would span more than twice its
+  term products plus 64 exponents, goes to the loop.  Each polynomial has
+  a second slot, ``_packed``, that holds its row shape and its digits at
+  the last width used; the packed path fills it for its results, and a
+  factor that has none is packed once, on first use.
+- ``substitute`` on z-free keys, when each mapped x, y or q goes to a
+  z-free monomial with coefficient 1 (q -> q^-1, x -> x*q^a, y -> y*q^b),
+  moves every key at once: f * (target - 1 - unit of field j) for an
+  exponent f of field j, through map chains.  A field that leaves its
+  range, or two keys that meet (q -> 1), send it to the loop.
+
 The canonical term order is q, x, y exponents descending, then the z
 exponents as a vector z1, z2, ... compared descending.  The low 96 bits of
 a key, its head, hold (q + 2^30) << 64 | x << 32 | y, so heads compare as
 plain ints in canonical order and a z-free polynomial sorts its keys as
 they are.  When some key has z, only the distinct z parts (key >> 96) are
-ranked, by their decoded exponent vectors, and the terms sort on the head
-above the z part's rank.  ``terms()`` and ``canonical_text`` share that
+ranked, and the terms sort on the head above the z part's rank.  When
+every z exponent is below 256 the parts are ranked by their little-endian
+bytes, which compare as the vectors do; otherwise by their decoded
+exponent vectors.  ``terms()`` and ``canonical_text`` share that
 order.  The factor strings of rendering (``*x^a``, ``*q^e``, ``*z2^f``
 and their LaTeX forms) are built once per process, in caches of at most
 ``_TEXTS_CAP`` strings each; a call builds the text of each z part once.
@@ -65,7 +89,7 @@ import struct
 import sys
 from functools import reduce
 from itertools import compress, count, repeat
-from operator import and_, lshift, or_, rshift
+from operator import add, and_, lshift, mul, or_, rshift, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -82,6 +106,7 @@ _ONE = _BIAS << 64  # the key of the monomial 1
 _LIMIT = 1 << 31  # every stored field is below this
 _MASK = (1 << 32) - 1  # one field
 _HEAD = (1 << 96) - 1  # fields 0-2, the y, x and q of a key
+_XY = (1 << 64) - 1  # fields 0-1, the y and x of a key
 _RANGE = "x, y and z exponents must lie in [0, 2^31) and q in [-2^30, 2^30)"
 
 
@@ -162,15 +187,21 @@ def _exps(key: int) -> list[int]:
     return exps
 
 
+def _field_mask(field: bytes, bits: int) -> int:
+    """The 4-byte little-endian field pattern repeated over every field of a
+    key up to bits long."""
+    return int.from_bytes(field * ((bits + 31) >> 5), "little")
+
+
 def _guard_mask(bits: int) -> int:
     """The guard bit of every field of a key up to bits long."""
-    return int.from_bytes(b"\0\0\0\x80" * ((bits + 31) >> 5), "little")
+    return _field_mask(b"\0\0\0\x80", bits)
 
 
 class MultiPoly:
     """Sparse exact polynomial in x, y, q (Laurent) and the z_i family."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         out: dict[int, int] = {}
@@ -180,6 +211,7 @@ class MultiPoly:
             k = _flat(key)
             out[k] = out.get(k, 0) + c
         self._terms = _nonzero(out)
+        self._packed = None
 
     # -- constructors -------------------------------------------------
 
@@ -210,7 +242,7 @@ class MultiPoly:
                 for r in ranks)
 
     def _canonical(self) -> tuple[list[int], dict[int, int], int,
-                                  list[tuple[int, ...]]]:
+                                  list[bytes | tuple[int, ...]]]:
         """The terms in canonical order as (ranks, coefficient by rank,
         bits, z vectors): the rank of a term is its head (key & _HEAD, which
         holds q, x and y as an int in canonical order) shifted up by bits,
@@ -219,24 +251,37 @@ class MultiPoly:
 
         A z-free polynomial needs no rank: its keys are its heads, so it
         sorts its term dict as it is, with bits 0 and the one z vector ().
-        Otherwise the distinct z parts are ranked by their decoded vectors
-        in tuple order, which is vector order: a decoded z part has no
+        Otherwise the distinct z parts are ranked in vector order.  When
+        one OR over them shows every z exponent below 256, a z part's
+        little-endian bytes, all of one width, are (f1, 0, 0, 0, f2, ...),
+        so byte order is vector order and every fourth byte is the vector,
+        zero-padded.  Otherwise they are ranked by their decoded vectors in
+        tuple order, which is vector order too: a decoded z part has no
         trailing zero, so a proper prefix is a vector whose missing
         exponents are 0 and sorts below the longer one."""
         terms = self._terms
         if max(terms, default=0) <= _HEAD:
             return sorted(terms, reverse=True), terms, 0, [()]
         zparts = list(map(rshift, terms, repeat(96)))
-        zvecs = {z: _fields(z) for z in set(zparts)}
-        order = sorted(zvecs, key=zvecs.get)
+        distinct = set(zparts)
+        zor = reduce(or_, distinct)
+        if zor & _field_mask(b"\0\xff\xff\xff", zor.bit_length()):
+            zvecs = {z: _fields(z) for z in distinct}
+            order = sorted(zvecs, key=zvecs.get)
+            vecs = list(map(zvecs.get, order))
+        else:
+            width = (zor.bit_length() + 31) >> 5 << 2
+            ranked = sorted(map(int.to_bytes, distinct, repeat(width),
+                                repeat("little")))
+            order = list(map(int.from_bytes, ranked, repeat("little")))
+            vecs = [b[::4] for b in ranked]
         bits = len(order).bit_length()
         coeffs = dict(zip(map(or_, map(lshift, map(and_, terms, repeat(_HEAD)),
                                        repeat(bits)),
                               map(dict(zip(order, count())).__getitem__,
                                   zparts)),
                           terms.values()))
-        return (sorted(coeffs, reverse=True), coeffs, bits,
-                list(map(zvecs.get, order)))
+        return sorted(coeffs, reverse=True), coeffs, bits, vecs
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -288,15 +333,21 @@ class MultiPoly:
 
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple]) -> "MultiPoly":
-        """The sum of a * b over the pairs (a, b), each product term added
-        straight into one term dict, the smaller factor in the outer loop.
-        The guard bits are tested on the OR of every product key, zero
-        coefficients included, so a product exponent outside its field
-        raises OverflowError even when its term cancels in the sum.  A
-        factor other than a polynomial or an int raises TypeError."""
+        """The sum of a * b over the pairs (a, b).  When every factor is a
+        q row, the sum is taken on packed rows (_packed_sum); otherwise
+        each product term is added straight into one term dict, the smaller
+        factor in the outer loop.  The guard bits are tested on the OR of
+        every product key, zero coefficients included, so a product
+        exponent outside its field raises OverflowError even when its term
+        cancels in the sum.  A factor other than a polynomial or an int
+        raises TypeError."""
+        pairs = [(_factor(a), _factor(b)) for a, b in pairs]
+        packed = _packed_sum(pairs)
+        if packed is not None:
+            return packed
         out: dict[int, int] = {}
         for a, b in pairs:
-            ta, tb = _factor(a)._terms, _factor(b)._terms
+            ta, tb = a._terms, b._terms
             if len(ta) > len(tb):
                 ta, tb = tb, ta
             for ka, ca in ta.items():
@@ -351,13 +402,18 @@ class MultiPoly:
                 raise ValueError(f"substitution target for {name!r} is a sum, "
                                  "not a single monomial")
             targets[name] = next(iter(poly._terms.items()), (_ONE, 0))
+        shifted = _shifted(self._terms, targets)
+        if shifted is not None:
+            return _wrap(shifted)
 
         # Each mapped field j that some key holds, as its shift, its bias,
         # its target's coefficient and the change one unit of its exponent
         # makes to each field (by shift): the target's exponents minus 1 in
         # field j.  An unmapped variable maps to itself and changes nothing.
+        # Every key holds y, x and q, even one whose q field is 0 (q^-2^30).
         maps = []
-        for j in range((max(self._terms, default=0).bit_length() + 31) >> 5):
+        for j in range(max(3, (max(self._terms, default=0).bit_length() + 31)
+                           >> 5)):
             target = targets.get(_name(j))
             if target is None and j >= 3:
                 target = targets.get("z")
@@ -544,6 +600,7 @@ def _wrap(terms: dict[int, int]) -> MultiPoly:
     taken over, not copied."""
     p = MultiPoly.__new__(MultiPoly)
     p._terms = _nonzero(terms)
+    p._packed = None
     return p
 
 
@@ -563,6 +620,122 @@ def _factor(v: object) -> MultiPoly:
         raise TypeError("sum_of_products factors must be polynomials or "
                         f"integers, got {type(v).__name__!r}")
     return poly
+
+
+def _row(p: MultiPoly) -> tuple | bool:
+    """The packed slot of p, filled on first use: False unless p is a q
+    row, () for the zero polynomial, else (lo, hi, total, width, packed):
+    the q fields of its least and greatest key, its value at q = 1, and
+    its digits at width (0 while it has none)."""
+    row = p._packed
+    if row is None:
+        terms = p._terms
+        keys = reduce(or_, terms, 0)  # the fields any key uses
+        if keys & _XY or keys > _HEAD or min(terms.values(), default=0) < 0:
+            row = False
+        else:
+            row = ((min(terms) >> 64, max(terms) >> 64, sum(terms.values()),
+                    0, 0) if terms else ())
+        p._packed = row
+    return row
+
+
+def _digits(p: MultiPoly, width: int) -> int:
+    """The q row p packed at width: the int whose digit i, bits [width*i,
+    width*(i + 1)), is its coefficient of q^(lo + i).  Packed from the term
+    dict when the slot holds another width."""
+    lo, hi, total, w, packed = p._packed
+    if w != width:
+        size = width >> 3
+        buf = bytearray((hi - lo + 1) * size)
+        for k, c in p._terms.items():
+            i = ((k >> 64) - lo) * size
+            buf[i:i + size] = c.to_bytes(size, "little")
+        packed = int.from_bytes(buf, "little")
+        p._packed = (lo, hi, total, width, packed)
+    return packed
+
+
+def _packed_sum(pairs: list[tuple[MultiPoly, MultiPoly]]) -> MultiPoly | None:
+    """sum_of_products by Kronecker substitution when every factor is a q
+    row: each factor is one int (_digits), and the sum is bignum products
+    and shifts.  A digit is as wide as the value at q = 1 of the sum needs,
+    in multiples of 64 bits, so no digit carries.  None, for the dict path,
+    when a factor is not a q row, when a product's q leaves its field (the
+    dict path raises) or when the result spans more than twice its term
+    products plus 64 exponents, so a sparse row is never packed."""
+    live, lows, highs, bound, products = [], [], [], 0, 0
+    for a, b in pairs:
+        ra, rb = _row(a), _row(b)
+        if ra is False or rb is False:
+            return None
+        if ra and rb:  # a product with the zero polynomial adds nothing
+            live.append((a, b))
+            lows.append(ra[0] + rb[0] - _BIAS)
+            highs.append(ra[1] + rb[1] - _BIAS)
+            bound += ra[2] * rb[2]
+            products += len(a._terms) * len(b._terms)
+    if not live:
+        return _wrap({})
+    lo, hi = min(lows), max(highs)
+    if lo < 0 or hi >= _LIMIT or hi - lo > 2 * products + 64:
+        return None
+    width = max(64, (bound.bit_length() + 63) & -64)
+    value = 0
+    for (a, b), low in zip(live, lows):
+        value += _digits(a, width) * _digits(b, width) << width * (low - lo)
+    # one struct.unpack of 64-bit limbs; nothing cancels, so the digits at
+    # lo and hi are nonzero, and compress drops the zero digits between
+    limbs, n = width >> 6, hi - lo + 1
+    words = struct.unpack(f"<{n * limbs}Q", value.to_bytes(8 * n * limbs,
+                                                           "little"))
+    digits = words[::limbs]
+    for j in range(1, limbs):
+        digits = list(map(or_, digits, map(lshift, words[j::limbs],
+                                           repeat(64 * j))))
+    p = _wrap(dict(zip(map(lshift, compress(range(lo, hi + 1), digits),
+                           repeat(64)), filter(None, digits))))
+    p._packed = (lo, hi, bound, width, value)
+    return p
+
+
+def _shifted(terms: dict[int, int], targets: dict[str, tuple[int, int]]
+             ) -> dict[int, int] | None:
+    """The term dict of substitute by key arithmetic, or None for the loop.
+    This applies when every key is z-free and the target of each mapped x,
+    y or q is a z-free monomial with coefficient 1 (a z target changes no
+    z-free key).  A term's exponent f of field j moves its key by
+    f * (target - 1 - unit of field j), all keys at once through map
+    chains.  When no field can change by more than 2^31 (spread, from the
+    largest |f| of each mapped field), a field that leaves [0, 2^31) sets
+    its guard bit or makes the key negative, without a carry that could
+    hide it; then, or when two keys meet (q -> 1), the loop raises or
+    sums."""
+    if not terms or max(terms) > _HEAD:
+        return None
+    keys, spread = terms, [0, 0, 0]
+    for j, name in enumerate("yxq"):
+        if name not in targets:
+            continue
+        target, coeff = targets[name]
+        if coeff != 1 or target > _HEAD:
+            return None
+        fs = list(map(sub, map(and_, map(rshift, terms, repeat(32 * j)),
+                               repeat(_MASK)), repeat(_BIAS if j == 2 else 0)))
+        most = max(max(fs), -min(fs))
+        change = _exps(target)
+        change[j] -= 1
+        spread = [s + most * abs(d) for s, d in zip(spread, change)]
+        keys = map(add, keys, map(mul, fs, repeat(target - _ONE
+                                                  - (1 << 32 * j))))
+    if max(spread) > _LIMIT:
+        return None
+    keys = list(keys)
+    moved = reduce(or_, keys)
+    if moved < 0 or moved & _guard_mask(96):
+        return None
+    out = dict(zip(keys, terms.values()))
+    return out if len(out) == len(terms) else None
 
 
 #: The most strings one factor cache holds.  A full cache is emptied before
@@ -605,4 +778,4 @@ _PLAIN, _LATEX = _factor_texts(False), _factor_texts(True)
 
 def q_pow(e: int) -> MultiPoly:
     """q^e as a polynomial (e may be negative)."""
-    return MultiPoly.term(1, q=e)
+    return _wrap({_flat((0, 0, e, ())): 1})

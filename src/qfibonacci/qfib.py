@@ -544,7 +544,6 @@ FAMILY: dict[str, Family] = {
 }
 
 FAMILIES = tuple(FAMILY)
-RECURSIVE_FAMILIES = tuple(f for f, fam in FAMILY.items() if fam.recursion)
 
 
 # -- oracles ------------------------------------------------------------------

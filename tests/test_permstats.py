@@ -209,6 +209,21 @@ class TestLayered:
         # inv of the layered image is C(7,2) - 19 = 2
         assert ps.inv((2, 1, 3, 5, 4, 6, 7)) == 2
 
+    @pytest.mark.parametrize("call", [
+        lambda o: ps.block_structure((2, 1), o),
+        lambda o: ps.block_structure((), o),
+        lambda o: ps.layer_values(7, 2, 2, o),
+        lambda o: ps.perm_from_word("DSDSS", o),
+        lambda o: ps.perm_from_word("", o),
+    ])
+    @pytest.mark.parametrize("orientation", ["bogus", "Layered", ""])
+    def test_unknown_orientation(self, call, orientation):
+        # every public entry refuses an orientation through one check, even
+        # where no layer is read
+        with pytest.raises(ValueError) as err:
+            call(orientation)
+        assert str(err.value) == f"unknown orientation {orientation!r}"
+
     def test_word_roundtrips(self):
         from qfibonacci.blockwords import iter_words
         for n in range(9):

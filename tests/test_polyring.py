@@ -1,6 +1,7 @@
 """Ring arithmetic, substitution, evaluation and rendering of MultiPoly."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -722,6 +723,7 @@ class TestSubstituteMatchesReference:
     @example((T(1, q=-2, z=((5, 1),)) + X, {}))
     @example((T(1, q=-1, z=((3, 2 ** 30),)),
               {"q": T(z=((1, 1),)), "z3": T(z=((3, 1),)) ** 2}))
+    @example((T(1, x=5, q=-_HALF), {"q": T(2, z=((1, 1),))}))
     def test_agrees(self, case):
         # a z -> 1 image is shorter than the fields it clears, {} fixes
         # every key, and the last example takes z1 below 0 and z3 above
@@ -847,3 +849,223 @@ class TestText:
     def test_text_injective(self, a, b):
         if a.canonical_text() == b.canonical_text():
             assert a == b
+
+
+# -- fast paths against today's loops -----------------------------------------
+
+
+def dict_path(pairs):
+    """The outcome of sum_of_products on the term-dict loop alone."""
+    with mock.patch.object(polyring, "_packed_sum", lambda pairs: None):
+        return outcome(MultiPoly.sum_of_products, pairs)
+
+
+def loop_path(p, mapping):
+    """The outcome of substitute on the per-term loop alone."""
+    with mock.patch.object(polyring, "_shifted", lambda terms, targets: None):
+        return outcome(p.substitute, mapping)
+
+
+def check_slot(p):
+    """p's packed slot, when it holds digits, agrees with its term dict."""
+    row = p._packed
+    if row and row[3]:
+        fresh = polyring._wrap(dict(p._terms))
+        assert polyring._row(fresh)[:3] == row[:3]
+        assert polyring._digits(fresh, row[3]) == row[4]
+
+
+#: Coefficients about each digit-width edge: a sum whose value at q = 1
+#: reaches 2^64 or 2^128 needs the next width.
+EDGES = [2 ** 32, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1,
+         2 ** 127, 2 ** 128 - 1, 2 ** 128]
+
+
+@st.composite
+def q_rows(draw):
+    """A polynomial in q alone: its least exponent near 0, -2^30 or 2^30,
+    its exponents dense or thousands apart (the sparsity guard), its
+    coefficients small or at a digit-width edge, and now and then one of
+    them negative."""
+    base = draw(st.one_of(st.integers(-6, 6), st.integers(-_HALF, -_HALF + 6),
+                          st.integers(_HALF - 40, _HALF - 1)))
+    spread = draw(st.sampled_from([8, 40, 5000]))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = (0, 0, min(base + draw(st.integers(0, spread)), _HALF - 1), ())
+        terms[key] = terms.get(key, 0) + draw(
+            st.one_of(st.integers(0, 9), st.sampled_from(EDGES)))
+    if terms and draw(st.integers(0, 4)) == 0:
+        key = draw(st.sampled_from(sorted(terms)))
+        terms[key] = -terms[key] or -1
+    return MultiPoly(terms)
+
+
+q_factors = st.one_of(q_rows(), st.integers(-3, 2 ** 65),
+                      st.sampled_from([X, T(1, x=1, q=2), T(1, z=((1, 1),))]))
+
+
+class TestPackedSum:
+    """sum_of_products on packed q rows agrees with the term-dict loop,
+    exceptions included, and leaves a packed slot that matches its
+    terms."""
+
+    @given(st.lists(st.tuples(q_factors, q_factors), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees(self, pairs):
+        got = outcome(MultiPoly.sum_of_products, pairs)
+        assert got == dict_path(pairs)
+        if isinstance(got, MultiPoly):
+            check_slot(got)
+            # the slot is read again, at its own width or another one
+            assert (outcome(MultiPoly.sum_of_products, [(got, got), (got, 1)])
+                    == dict_path([(got, got), (got, 1)]))
+
+    @pytest.mark.parametrize("pairs, packed", [
+        ([], True),
+        ([(MultiPoly.zero(), q_pow(3)), (2, 0)], True),
+        ([(T(2 ** 64 - 1), 1)], True),              # one full 64-bit digit
+        ([(T(2 ** 63) + T(2 ** 63, q=1), 1 + Q)], True),  # 2^64: 128 bits
+        ([(T(2 ** 63, q=4), 1), (T(2 ** 63, q=4), 1)], True),  # a sum's 2^64
+        ([(q_pow(-_HALF) + q_pow(1 - _HALF), 1)], True),   # the field's
+        ([(q_pow(_HALF - 2), 1 + Q)], True),                # two ends
+        ([(q_pow(-_HALF), q_pow(-1))], False),      # below it: refused
+        ([(q_pow(_HALF - 1), Q)], False),           # above it: refused
+        ([(1 + q_pow(5000), Q)], False),            # sparse
+        ([(Q - 1, Q)], False),                      # a negative coefficient
+        ([(Q, -2)], False),
+        ([(Q, X)], False),
+    ])
+    def test_cases(self, pairs, packed):
+        factors = [(polyring._factor(a), polyring._factor(b))
+                   for a, b in pairs]
+        assert (polyring._packed_sum(factors) is not None) == packed
+        assert outcome(MultiPoly.sum_of_products, pairs) == dict_path(pairs)
+
+    def test_width_follows_the_bound(self, monkeypatch):
+        # W2's sums pass 2^64 at 48 and take 128-bit digits from there;
+        # row 47 is packed again at 128 bits when row 48 reads it
+        monkeypatch.setattr(qfib, "_rec_cache", {})
+        row = qfib.qfib_recursive("W2", 47)
+        assert row._packed[3] == 64
+        assert qfib.qfib_recursive("W2", 48)._packed[3] == 128
+        assert row._packed[3] == 128
+        for n in (47, 48):
+            check_slot(qfib.qfib_recursive("W2", n))
+            assert qfib.qfib_recursive("W2", n).evaluate() == qfib.fibonacci(
+                2 * n - 2)
+
+
+@st.composite
+def z_free_polys(draw):
+    """Up to six z-free terms, each exponent small or near an end of its
+    field."""
+    small_or_wide = st.one_of(st.integers(0, 4), st.integers(WIDE, 2 ** 31 - 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = (draw(small_or_wide), draw(small_or_wide),
+               draw(st.one_of(st.integers(-4, 6),
+                              st.integers(-_HALF, -_HALF + 3),
+                              st.integers(_HALF - 4, _HALF - 1))), ())
+        terms[key] = terms.get(key, 0) + draw(st.integers(-9, 9))
+    return MultiPoly(terms)
+
+
+#: Images of x, y and q: x -> x q^a, y -> y q^b and q -> q^-1 as the
+#: identities use them, q -> 1 (keys meet), x -> x^2 and x -> x^(2^30)
+#: (fields overflow), and coefficients or z that only the loop serves.  A
+#: coefficient c raises a term's to c^f, and f reaches 2^31 here, so c is
+#: 0 or +-1 only.
+key_images = st.one_of(
+    st.builds(lambda a: T(1, x=1, q=a), st.integers(-3, 3)),
+    st.builds(lambda b: T(1, y=1, q=b), st.integers(-3, 3)),
+    st.builds(q_pow, st.integers(-2, 2)),
+    st.sampled_from([MultiPoly.one(), T(1, x=2), T(1, x=_HALF), T(1, x=1, y=1),
+                     T(-1, q=-1), T(-1, x=1), T(1, z=((1, 1),)), 1, 0, -1]))
+
+
+class TestShiftedSubstitute:
+    """substitute by key arithmetic agrees with the per-term loop,
+    exceptions included."""
+
+    @given(z_free_polys(),
+           st.dictionaries(st.sampled_from(["x", "y", "q", "z", "z2"]),
+                           key_images, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    @example(q_pow(-_HALF) + 1, {"q": q_pow(-1)})
+    @example(T(1, x=2 ** 31 - 1), {"x": T(1, x=1, q=1)})
+    @example(T(1, y=3, q=-_HALF + 2), {"y": T(1, y=1, q=-1)})
+    @example(T(1, x=_HALF, q=-_HALF), {"q": X})
+    @example(T(1, x=5, q=-_HALF), {"q": 1})
+    def test_agrees(self, p, mapping):
+        # q^-2^30 -> q^2^30 leaves the q field, x^(2^31 - 1) * q^(2^31 - 1)
+        # the q field, and y^3 q^(-2^30 + 2) -> q^(-2^30 - 1) borrows; the
+        # last two keys hold q^-2^30 as a zero field, which the loop once
+        # skipped as if it held no q
+        assert outcome(p.substitute, mapping) == loop_path(p, mapping)
+
+    @pytest.mark.parametrize("p, mapping, shifted", [
+        (T(1, q=2) + T(3, x=1, y=2, q=-4), {"q": q_pow(-1)}, True),
+        (T(1, x=2, q=1) + T(2, y=1), {"x": T(1, x=1, q=1),
+                                      "y": T(1, y=1, q=2)}, True),
+        (T(1, y=2, q=1), {"y": T(1, y=1, q=-1), "z": 0}, True),
+        (T(1, q=2) + Q, {"q": MultiPoly.one()}, False),   # q^2, q meet
+        (T(1, q=2) + X, {"q": MultiPoly.one()}, True),    # they do not
+        (T(1, q=2), {"q": T(-1, q=1)}, False),
+        (T(1, x=1, z=((1, 1),)), {"q": q_pow(-1)}, False),
+        (q_pow(_HALF - 1), {"q": q_pow(2)}, False),
+    ])
+    def test_cases(self, p, mapping, shifted):
+        targets = {name: next(iter(polyring._as_poly(v)._terms.items()),
+                              (polyring._ONE, 0))
+                   for name, v in mapping.items()}
+        assert (polyring._shifted(p._terms, targets) is not None) == shifted
+        assert outcome(p.substitute, mapping) == loop_path(p, mapping)
+
+
+def strip(vec):
+    """A z vector without its trailing zeros, as a tuple."""
+    vec = list(vec)
+    while vec and not vec[-1]:
+        vec.pop()
+    return tuple(vec)
+
+
+@st.composite
+def z_byte_polys(draw):
+    """Terms over a few heads whose z exponents lie below 256, at it or
+    above it."""
+    exps = st.one_of(st.integers(1, 3), st.integers(250, 300),
+                     st.sampled_from([255, 256, 511, 2 ** 16, 2 ** 24]))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        zidx = draw(st.lists(st.integers(1, 70), max_size=3, unique=True))
+        key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+               draw(st.integers(-2, 2)),
+               tuple((i, draw(exps)) for i in zidx))
+        terms[key] = draw(st.integers(-3, 3))
+    return MultiPoly(terms)
+
+
+class TestByteRanking:
+    """The z parts ranked by their bytes, when every z exponent is below
+    256, in the order of their decoded vectors."""
+
+    @given(z_byte_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_as_tuples(self, p):
+        ranks, coeffs, bits, vecs = p._canonical()
+        zparts = {k >> 96 for k in p._terms}
+        if bits:
+            assert list(map(strip, vecs)) == sorted(map(polyring._fields,
+                                                        zparts))
+        assert list(p.terms()) == reference_order(p)
+        assert p.canonical_text() == reference_text(p)
+
+    def test_byte_path_taken(self):
+        below = T(1, z=((1, 255), (3, 1))) + T(1, z=((2, 4),)) + Q
+        assert all(isinstance(v, bytes) for v in below._canonical()[3])
+        at = below + T(1, z=((2, 256),))
+        assert all(isinstance(v, tuple) for v in at._canonical()[3])
+        assert (at.canonical_text()
+                == "q + z1^255*z3 + z2^256 + z2^4")

@@ -10,7 +10,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfibonacci import blockwords, partitions, permstats, qfib
@@ -20,6 +20,7 @@ from qfibonacci.polyring import MultiPoly, q_pow
 
 WORD_FAMILIES = ("I", "I'", "M", "M'", "RB", "C", "D", "D'")
 WEST_FAMILIES = ("W1", "W2", "W3")
+RECURSIVE_FAMILIES = tuple(f for f, fam in qfib.FAMILY.items() if fam.recursion)
 # the two sizes from which each word walk is split
 SPLIT_SIZES = [(f, n) for f in WORD_FAMILIES for n in (22, 23)]
 
@@ -648,6 +649,24 @@ class TestClosedForm:
                 qfib.closed_form_I(n)
 
 
+class TestPrintedRowsAboveBound:
+    """Printed rows that the benchmark emits above the oracle bounds, held
+    without enumeration to the closed form and to another printed
+    family."""
+
+    def test_inv_families_to_200(self):
+        for n in range(201):
+            closed = qfib.closed_form_I(n)
+            assert qfib.qfib_recursive("I", n) == closed, n
+            assert (qfib.qfib_recursive("I'", n)
+                    == qfib.lemma23_transform(closed, n)), n
+
+    def test_t33_to_40(self):
+        for n in range(41):
+            assert (qfib.qfib_recursive("M'", n)
+                    == qfib.qfib_recursive("C", n)), n
+
+
 class TestHeldAtBound:
     def test_every_oracle_to_its_bound(self, monkeypatch):
         # Each family's bound is read from FAMILY, so the test grows with
@@ -874,16 +893,34 @@ class TestCacheSafety:
         assert qfib.qfib_oracle(family, n).canonical_text() == before
         assert qfib.qfib_oracle(family, n) == reference(family, n)
 
-    @given(st.sampled_from(qfib.RECURSIVE_FAMILIES), st.integers(0, 12))
+    @given(st.sampled_from(RECURSIVE_FAMILIES), st.integers(0, 12))
     @settings(deadline=None, max_examples=40)
     def test_recursive(self, family, n):
         # bases are shared between sizes and families, so check them all
         def texts():
             return [qfib.qfib_recursive(f, m).canonical_text()
-                    for f in qfib.RECURSIVE_FAMILIES for m in range(13)]
+                    for f in RECURSIVE_FAMILIES for m in range(13)]
         before = texts()
         _use(qfib.qfib_recursive(family, n))
         assert texts() == before
+
+    @given(st.sampled_from(WEST_FAMILIES), st.integers(2, 45))
+    @settings(deadline=None, max_examples=10)
+    @example("W2", 45)
+    def test_packed_row(self, family, n):
+        # a W row keeps its digits in its packed slot, and later rows read
+        # them from there, at 128 bits from size 48 on (W2 at 45 reaches
+        # it); _use squares a row with a negative coefficient on the dict
+        # path, a few million term products at 45, hence few examples
+        later = [(family, m) for m in range(n + 1, n + 4)]
+        before = [qfib.qfib_recursive(*k).canonical_text() for k in later]
+        row = qfib.qfib_recursive(family, n)
+        assert row._packed[3] in (64, 128)
+        _use(row)
+        for k in later:
+            del qfib._rec_cache[k]
+        assert [qfib.qfib_recursive(*k).canonical_text()
+                for k in later] == before
 
     @given(st.sampled_from(sorted(permstats.WEST_PATTERNS)), st.integers(0, 7))
     @settings(deadline=None, max_examples=30)
